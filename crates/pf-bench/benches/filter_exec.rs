@@ -14,7 +14,7 @@ use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::samples;
 use pf_filter::validate::ValidatedProgram;
-use pf_ir::{IrFilter, IrFilterSet};
+use pf_ir::{IrFilter, ShardedVnSet};
 use std::hint::black_box;
 
 fn engines(c: &mut Criterion) {
@@ -51,13 +51,14 @@ fn engines(c: &mut Criterion) {
     }
     group.finish();
 
-    // Set-level: 16 socket filters sharing their guard prefixes, against
-    // evaluating the same 16 IR filters independently.
+    // Set-level: 16 socket filters in one sharded set (shared tests, one
+    // shard walked per packet), against evaluating the same 16 IR filters
+    // independently.
     let mut group = c.benchmark_group("filter_exec_set");
     let filters: Vec<IrFilter> = (0..16)
         .map(|i| IrFilter::compile(samples::pup_socket_filter(10, 0, i)).unwrap())
         .collect();
-    let mut set = IrFilterSet::new();
+    let mut set = ShardedVnSet::new();
     for (i, _) in filters.iter().enumerate() {
         set.insert(i as u32, samples::pup_socket_filter(10, 0, i as u16));
     }
@@ -69,7 +70,7 @@ fn engines(c: &mut Criterion) {
                 .count()
         })
     });
-    group.bench_function("shared_prefix_16", |b| {
+    group.bench_function("sharded_16", |b| {
         b.iter(|| set.matches(PacketView::new(black_box(&packet))).len())
     });
     group.finish();

@@ -650,7 +650,7 @@ fn run_geom_bomb(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
 
     let app = w.app_ref::<AdvConsumer>(host, consumer).expect("consumer");
     let c = w.counters(host);
-    let capped = w.device(host).engine_stats().geom_candidates_capped;
+    let capped = w.device(host).engine_stats().set.candidates_capped;
     AdversaryPoint {
         wanted_offered,
         attack_offered,

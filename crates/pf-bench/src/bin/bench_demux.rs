@@ -1,5 +1,5 @@
 //! Writes `BENCH_demux.json`: the demux-scaling race between the
-//! flat-sequential, decision-table, flat-IR, sharded value-numbered,
+//! flat-sequential, decision-table, sharded value-numbered,
 //! geometric tuple-space, and (with the `jit` feature) template-JIT
 //! engines over growing multi-ethertype populations, plus the mixed
 //! exact/range ladder to 100k filters and the insert/delete churn

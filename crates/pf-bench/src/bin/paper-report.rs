@@ -1,21 +1,4 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 fn main() {
-    println!("Reproduction report: The Packet Filter (SOSP 1987)");
-    println!("===================================================\n");
-    println!("{}", pf_bench::sendcost::report());
-    println!("{}", pf_bench::profile61::report_section_6_1());
-    println!("{}", pf_bench::vmtp_exp::report_table_6_2());
-    println!("{}", pf_bench::vmtp_exp::report_table_6_3());
-    println!("{}", pf_bench::vmtp_exp::report_table_6_4());
-    println!("{}", pf_bench::vmtp_exp::report_table_6_5());
-    println!("{}", pf_bench::streams::report_table_6_6());
-    println!("{}", pf_bench::telnet_exp::report_table_6_7());
-    println!("{}", pf_bench::recvcost::report_table_6_8());
-    println!("{}", pf_bench::recvcost::report_table_6_9());
-    println!("{}", pf_bench::recvcost::report_table_6_10());
-    println!("{}", pf_bench::figures::report_fig_2_1_2_2());
-    println!("{}", pf_bench::figures::report_fig_2_3());
-    println!("{}", pf_bench::figures::report_fig_3_4_3_5());
-    println!("{}", pf_bench::breakeven::report_break_even());
-    println!("{}", pf_bench::ablations::report_ablations());
+    print!("{}", pf_bench::paper_report());
 }

@@ -51,3 +51,35 @@ pub mod sendcost;
 pub mod streams;
 pub mod telnet_exp;
 pub mod vmtp_exp;
+
+/// The full reproduction report — every table and figure of the paper's
+/// evaluation section plus the ablations — exactly as the `paper-report`
+/// binary prints it. `docs/paper_report.txt` is its golden copy.
+pub fn paper_report() -> String {
+    let sections = [
+        sendcost::report(),
+        profile61::report_section_6_1(),
+        vmtp_exp::report_table_6_2(),
+        vmtp_exp::report_table_6_3(),
+        vmtp_exp::report_table_6_4(),
+        vmtp_exp::report_table_6_5(),
+        streams::report_table_6_6(),
+        telnet_exp::report_table_6_7(),
+        recvcost::report_table_6_8(),
+        recvcost::report_table_6_9(),
+        recvcost::report_table_6_10(),
+        figures::report_fig_2_1_2_2(),
+        figures::report_fig_2_3(),
+        figures::report_fig_3_4_3_5(),
+        breakeven::report_break_even(),
+        ablations::report_ablations(),
+    ];
+    let mut out = String::from(
+        "Reproduction report: The Packet Filter (SOSP 1987)\n\
+         ===================================================\n\n",
+    );
+    for section in sections {
+        out += &format!("{section}\n");
+    }
+    out
+}

@@ -36,6 +36,7 @@
 //! priority-ordered with insertion-order ties, exactly like every other
 //! engine.
 
+use crate::engine::SetStats;
 use crate::exec::{IrFilter, TOp};
 use crate::ir::IrBinOp;
 use pf_filter::dtree::FilterId;
@@ -65,23 +66,6 @@ impl Interval {
     fn contains(&self, other: &Interval) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
     }
-}
-
-/// Counters from one whole-set evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GeomStats {
-    /// Members whose bodies (or fallbacks) were evaluated.
-    pub filters_evaluated: u32,
-    /// Members the tuple index let the packet skip outright.
-    pub filters_skipped: u32,
-    /// Tuple sub-structures probed (one literal map or one range tree).
-    pub tuples_probed: u32,
-    /// Index nodes visited across all probes (one per literal-map lookup,
-    /// one per segment-tree level) — the sublinearity witness: this grows
-    /// with tuple count and log of the domain, never with member count.
-    pub nodes_visited: u32,
-    /// Threaded-code (or fallback interpreter) instructions executed.
-    pub ops_executed: u32,
 }
 
 // ---------------------------------------------------------------------
@@ -723,7 +707,7 @@ impl GeomSet {
     /// [`GeomSet::matches`] plus execution counters. The returned slice
     /// borrows the set's reused scratch buffer — no per-packet
     /// allocation — and is valid until the next evaluation.
-    pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], GeomStats) {
+    pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], SetStats) {
         let (stats, ids) = self.walk(packet, false);
         (ids, stats)
     }
@@ -738,7 +722,7 @@ impl GeomSet {
         slots: &[Option<GeomMember>],
         packet: PacketView<'_>,
         cand: &mut Vec<u32>,
-        stats: &mut GeomStats,
+        stats: &mut SetStats,
         cap: Option<usize>,
     ) -> u64 {
         cand.clear();
@@ -774,7 +758,7 @@ impl GeomSet {
         }
     }
 
-    fn walk(&mut self, packet: PacketView<'_>, stop_at_first: bool) -> (GeomStats, &[FilterId]) {
+    fn walk(&mut self, packet: PacketView<'_>, stop_at_first: bool) -> (SetStats, &[FilterId]) {
         let Self {
             slots,
             order,
@@ -790,7 +774,7 @@ impl GeomSet {
             ..
         } = self;
         scratch.clear();
-        let mut stats = GeomStats::default();
+        let mut stats = SetStats::default();
         if packet.word_len() >= *fast_min_words {
             *candidates_capped += Self::gather(
                 tuples,
@@ -838,7 +822,7 @@ impl GeomSet {
     pub fn matches_batch_with_stats(
         &mut self,
         packets: &[PacketView<'_>],
-    ) -> (Vec<Vec<FilterId>>, Vec<GeomStats>) {
+    ) -> (Vec<Vec<FilterId>>, Vec<SetStats>) {
         let mut out = Vec::with_capacity(packets.len());
         let mut out_stats = Vec::with_capacity(packets.len());
         let words: Vec<u16> = self.tuples.keys().copied().collect();
@@ -847,7 +831,7 @@ impl GeomSet {
         let mut cached_pruned = 0u64;
         let mut key_buf: Vec<Option<u16>> = Vec::with_capacity(words.len());
         for &packet in packets {
-            let mut stats = GeomStats::default();
+            let mut stats = SetStats::default();
             let mut ids = Vec::new();
             if packet.word_len() >= self.fast_min_words {
                 key_buf.clear();
@@ -909,7 +893,7 @@ fn eval_member(
     m: &GeomMember,
     packet: PacketView<'_>,
     config: InterpConfig,
-    stats: &mut GeomStats,
+    stats: &mut SetStats,
 ) -> bool {
     stats.filters_evaluated += 1;
     match &m.kind {

@@ -11,7 +11,7 @@
 //! ([`ir`]), optimizes the result ([`opt`]), flattens it into threaded
 //! code that evaluates with no operand stack at all ([`exec`]), and —
 //! behind the off-by-default `jit` cargo feature — emits straight-line
-//! native machine code per CFG block (the `jit` module, rung eight).
+//! native machine code per CFG block (the `jit` module, rung seven).
 //!
 //! The pipeline:
 //!
@@ -24,26 +24,21 @@
 //!    and dead-code removal, dense register renumbering.
 //! 3. **Lower** ([`exec::IrFilter`]) — blocks flatten into one threaded
 //!    opcode vector; compare-and-branch sequences fuse into single
-//!    `guard` opcodes, whose leading run doubles as the filter's
-//!    *guard prefix* for cross-filter sharing.
-//! 4. **Share** ([`set::IrFilterSet`]) — a demultiplexing set interns the
-//!    guard prefixes of all members so each distinct `(word, literal)`
-//!    test is evaluated once per packet, the same work-sharing the
-//!    paper's §7 decision-table proposal targets, without restricting
-//!    the filter language.
-//! 5. **Shard** ([`set::ShardedVnSet`], the sixth rung) — a set-level
-//!    value-numbering pass ([`vn`]) interns *every* equality test in
-//!    every member (fused guards, mid-program branch windows, terminal
-//!    compares) into one shared, per-packet lazily memoized test table,
-//!    and a shard index keyed on each member's *required*
-//!    discriminating-word literal lets a packet walk only the members
-//!    its own bytes select.
-//! 6. **JIT** (`jit::JitFilter`, the eighth rung, cargo feature `jit`)
+//!    `guard` opcodes.
+//! 4. **Shard** ([`set::ShardedVnSet`]) — a set-level value-numbering
+//!    pass ([`vn`]) interns *every* equality test in every member (fused
+//!    guards, mid-program branch windows, terminal compares) into one
+//!    shared, per-packet lazily memoized test table — the work-sharing
+//!    the paper's §7 decision-table proposal targets, without restricting
+//!    the filter language — and a shard index keyed on each member's
+//!    *required* discriminating-word literal lets a packet walk only the
+//!    members its own bytes select.
+//! 5. **JIT** (`jit::JitFilter`, the seventh rung, cargo feature `jit`)
 //!    — each threaded program's blocks are template-expanded into native
 //!    x86-64 or aarch64 code in an mmap'd W^X buffer; programs or
 //!    platforms the emitter cannot handle fall back to the threaded
 //!    engine per filter, invisibly to callers.
-//! 7. **Classify geometrically** ([`geom::GeomSet`], the ninth surface)
+//! 6. **Classify geometrically** ([`geom::GeomSet`], the eighth surface)
 //!    — members are indexed by the *interval* constraints their compiled
 //!    code provably requires (`packet[w] ∈ [lo,hi]`; equality is the
 //!    degenerate case), partitioned into `(word, range-class)` tuples
@@ -59,7 +54,8 @@
 //! suites in `tests/` hold every execution surface — eight with the `jit`
 //! feature on — to one verdict, iterating them generically through the
 //! [`engine::FilterEngine`] trait and [`engine::singleton_engines`]
-//! factory.
+//! factory. The kernel holds whichever set it demultiplexes with through
+//! the [`engine::DemuxSet`] trait.
 
 pub mod engine;
 pub mod exec;
@@ -72,10 +68,11 @@ pub mod set;
 pub mod translate;
 pub mod vn;
 
-pub use engine::{singleton_engines, singleton_surface_count, FilterEngine};
+pub use engine::{
+    singleton_engines, singleton_surface_count, DemuxSet, FilterEngine, SetCounts, SetStats,
+};
 pub use exec::{IrEvalStats, IrFilter};
-pub use geom::{required_constraints, GeomSet, GeomStats, Interval};
+pub use geom::{required_constraints, GeomSet, Interval};
 #[cfg(feature = "jit")]
 pub use jit::JitFilter;
-pub use set::{IrFilterSet, IrSetStats, ShardedVnSet};
-pub use vn::VnSetStats;
+pub use set::{JitSet, ShardedVnSet};

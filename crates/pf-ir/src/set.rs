@@ -1,343 +1,34 @@
-//! A set of IR-compiled filters with cross-filter common-prefix merging.
+//! Kernel demultiplexing sets built on the IR pipeline.
 //!
 //! Demultiplexing filters overwhelmingly share structure: every BSP port's
 //! filter starts with the same `EtherType == Pup` and `DstSocketHi == 0`
 //! guards before the per-port socket test. Compiled independently, a set of
 //! N such filters re-executes the shared guards N times per packet.
 //!
-//! [`IrFilterSet`] exploits the compiler's [`IrFilter::guard_prefix`]: the
-//! leading word-equality guards of every member are *interned* into a
-//! shared test table, and per packet each distinct `(word, literal)` test
-//! is evaluated **once** — a generation-stamped memo keeps results across
-//! members without any per-packet clearing. Members then run only their
-//! post-prefix bodies. Filters whose prefixes overlap (the common case)
-//! thus share work exactly where the paper's decision-table proposal (§7)
-//! shares it, while arbitrary filters — including programs that fail
-//! validation, whose runtime behavior the checked interpreter defines —
-//! remain fully supported.
+//! [`ShardedVnSet`] removes that repetition on two axes: members are
+//! rewritten by the [`crate::vn`] value-numbering pass (sharing *every*
+//! word-equality test, each evaluated at most once per packet) and
+//! indexed by a guard-keyed shard map, so a packet walks only the members
+//! whose required discriminating test its first distinguishing word
+//! selects. Filters that fail validation — whose runtime behavior the
+//! checked interpreter defines — remain fully supported.
+//!
+//! [`JitSet`] is the opposite design point: no cross-filter sharing, each
+//! member compiled on its own (to native code under the `jit` feature)
+//! and walked in priority order like the sequential loop.
 //!
 //! Match results are priority-ordered with insertion-order ties, exactly
 //! like sequential demultiplexing and [`pf_filter::dtree::FilterSet`].
-//!
-//! [`ShardedVnSet`] goes further on both axes: members are rewritten by
-//! the [`crate::vn`] value-numbering pass (sharing *every* word-equality
-//! test, not just leading guards) and indexed by a guard-keyed shard map,
-//! so a packet walks only the members whose required discriminating test
-//! its first distinguishing word selects.
 
+use crate::engine::SetStats;
 use crate::exec::IrFilter;
-use crate::vn::{eval_vn, required_tests, value_number, TestTable, VnProgram, VnSetStats};
+use crate::vn::{eval_vn, required_tests, value_number, TestTable, VnProgram};
 use pf_filter::dtree::FilterId;
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
+use pf_filter::validate::ValidatedProgram;
 use std::collections::{HashMap, HashSet};
-
-/// Counters from one whole-set evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IrSetStats {
-    /// Members whose bodies (or fallbacks) were evaluated.
-    pub filters_evaluated: u32,
-    /// Interned prefix tests evaluated fresh against the packet.
-    pub tests_evaluated: u32,
-    /// Interned prefix tests answered from the per-packet memo.
-    pub tests_memoized: u32,
-    /// Threaded-code (or fallback interpreter) instructions executed,
-    /// including one per fresh prefix test.
-    pub ops_executed: u32,
-}
-
-/// How a member is executed.
-#[derive(Debug)]
-enum MemberKind {
-    /// Compiled to threaded code; `prefix` indexes the shared test table.
-    Compiled {
-        filter: IrFilter,
-        prefix: Vec<usize>,
-    },
-    /// Failed validation; the checked interpreter defines its behavior
-    /// (it may still accept packets — a short-circuit accept can precede
-    /// the defect).
-    Checked(FilterProgram),
-}
-
-#[derive(Debug)]
-struct Member {
-    id: FilterId,
-    priority: u8,
-    seq: u64,
-    kind: MemberKind,
-}
-
-/// A set of active filters compiled to the IR engine.
-///
-/// # Examples
-///
-/// ```
-/// use pf_filter::packet::PacketView;
-/// use pf_filter::samples;
-/// use pf_ir::set::IrFilterSet;
-///
-/// let mut set = IrFilterSet::new();
-/// set.insert(7, samples::pup_socket_filter(10, 0, 35));
-/// set.insert(9, samples::pup_socket_filter(10, 0, 44));
-/// let pkt = samples::pup_packet_3mb(2, 0, 44, 1);
-/// assert_eq!(set.first_match(PacketView::new(&pkt)), Some(9));
-/// // The two filters share their `DstSocketHi == 0` guard.
-/// assert_eq!(set.shared_tests(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct IrFilterSet {
-    config: InterpConfig,
-    next_seq: u64,
-    /// Members sorted by (priority desc, seq asc) — match order.
-    members: Vec<Member>,
-    /// Interned `(word, literal)` equality tests.
-    tests: Vec<(u16, u16)>,
-    test_ids: HashMap<(u16, u16), usize>,
-    /// Per-test memo: (generation, result). A stale generation means
-    /// "not yet evaluated for this packet".
-    memo: Vec<(u64, bool)>,
-    generation: u64,
-    /// Reused match-result buffer: evaluating a packet allocates nothing.
-    scratch: Vec<FilterId>,
-}
-
-impl IrFilterSet {
-    /// An empty set under the default configuration (classic dialect,
-    /// paper-style short circuits) — the kernel device's configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty set under an explicit interpreter configuration.
-    pub fn with_config(config: InterpConfig) -> Self {
-        IrFilterSet {
-            config,
-            ..Default::default()
-        }
-    }
-
-    /// Number of filters in the set.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Number of distinct interned prefix tests.
-    pub fn test_count(&self) -> usize {
-        self.tests.len()
-    }
-
-    /// Number of interned tests used by more than one member — the
-    /// cross-filter work the set shares per packet.
-    pub fn shared_tests(&self) -> usize {
-        let mut counts = vec![0u32; self.tests.len()];
-        for m in &self.members {
-            if let MemberKind::Compiled { prefix, .. } = &m.kind {
-                for &t in prefix {
-                    counts[t] += 1;
-                }
-            }
-        }
-        counts.iter().filter(|&&c| c > 1).count()
-    }
-
-    /// How many members compiled to threaded code (the rest run on the
-    /// checked interpreter).
-    pub fn compiled(&self) -> usize {
-        self.members
-            .iter()
-            .filter(|m| matches!(m.kind, MemberKind::Compiled { .. }))
-            .count()
-    }
-
-    /// Inserts (or replaces) the filter for `id`.
-    pub fn insert(&mut self, id: FilterId, program: FilterProgram) {
-        self.remove(id);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let priority = program.priority();
-        let kind = match IrFilter::compile_with_config(program.clone(), self.config) {
-            Ok(filter) => {
-                let prefix = filter
-                    .guard_prefix()
-                    .iter()
-                    .map(|&test| self.intern(test))
-                    .collect();
-                MemberKind::Compiled { filter, prefix }
-            }
-            Err(_) => MemberKind::Checked(program),
-        };
-        let member = Member {
-            id,
-            priority,
-            seq,
-            kind,
-        };
-        let at = self.members.partition_point(|m| {
-            (m.priority, std::cmp::Reverse(m.seq)) >= (priority, std::cmp::Reverse(seq))
-        });
-        self.members.insert(at, member);
-    }
-
-    /// Removes the filter for `id`; `true` if it was present.
-    pub fn remove(&mut self, id: FilterId) -> bool {
-        let before = self.members.len();
-        self.members.retain(|m| m.id != id);
-        let removed = before != self.members.len();
-        if removed {
-            self.gc_tests();
-        }
-        removed
-    }
-
-    /// Rebuilds the interned test table from the surviving members, so
-    /// churn never strands dead tests (`test_count` always matches what a
-    /// fresh rebuild would intern).
-    fn gc_tests(&mut self) {
-        let old_tests = std::mem::take(&mut self.tests);
-        let Self {
-            members,
-            tests,
-            test_ids,
-            memo,
-            ..
-        } = self;
-        test_ids.clear();
-        memo.clear();
-        for m in members {
-            if let MemberKind::Compiled { prefix, .. } = &mut m.kind {
-                for t in prefix.iter_mut() {
-                    let test = old_tests[*t];
-                    *t = *test_ids.entry(test).or_insert_with(|| {
-                        tests.push(test);
-                        // Stamp 0 is permanently stale: the generation
-                        // counter increments before every evaluation, so
-                        // it is at least 1 by the first memo check.
-                        memo.push((0, false));
-                        tests.len() - 1
-                    });
-                }
-            }
-        }
-    }
-
-    fn intern(&mut self, test: (u16, u16)) -> usize {
-        if let Some(&t) = self.test_ids.get(&test) {
-            return t;
-        }
-        let t = self.tests.len();
-        self.tests.push(test);
-        self.test_ids.insert(test, t);
-        self.memo.push((0, false));
-        t
-    }
-
-    /// Ids of every filter accepting the packet, in match order (priority
-    /// descending, insertion order within a priority).
-    ///
-    /// Takes `&mut self` because the per-packet test memo lives in the set.
-    pub fn matches(&mut self, packet: PacketView<'_>) -> Vec<FilterId> {
-        self.matches_with_stats(packet).0.to_vec()
-    }
-
-    /// The first (highest-priority) accepting filter, if any.
-    pub fn first_match(&mut self, packet: PacketView<'_>) -> Option<FilterId> {
-        let Self {
-            members,
-            tests,
-            memo,
-            generation,
-            config,
-            ..
-        } = self;
-        *generation += 1;
-        let mut stats = IrSetStats::default();
-        members
-            .iter()
-            .find(|m| eval_member(m, packet, tests, memo, *generation, *config, &mut stats))
-            .map(|m| m.id)
-    }
-
-    /// [`IrFilterSet::matches`] plus execution counters. The returned
-    /// slice borrows the set's reused scratch buffer — no per-packet
-    /// allocation — and is valid until the next evaluation.
-    pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], IrSetStats) {
-        let Self {
-            members,
-            tests,
-            memo,
-            generation,
-            config,
-            scratch,
-            ..
-        } = self;
-        *generation += 1;
-        scratch.clear();
-        let mut stats = IrSetStats::default();
-        scratch.extend(
-            members
-                .iter()
-                .filter(|m| eval_member(m, packet, tests, memo, *generation, *config, &mut stats))
-                .map(|m| m.id),
-        );
-        (scratch, stats)
-    }
-}
-
-/// Evaluates one member, sharing prefix-test results through the memo.
-fn eval_member(
-    m: &Member,
-    packet: PacketView<'_>,
-    tests: &[(u16, u16)],
-    memo: &mut [(u64, bool)],
-    generation: u64,
-    config: InterpConfig,
-    stats: &mut IrSetStats,
-) -> bool {
-    stats.filters_evaluated += 1;
-    match &m.kind {
-        MemberKind::Checked(program) => {
-            let (accept, s) = CheckedInterpreter::new(config).eval_with_stats(program, packet);
-            stats.ops_executed += s.instructions;
-            accept
-        }
-        MemberKind::Compiled { filter, prefix } => {
-            if packet.word_len() < filter.min_packet_words() {
-                // Short packet: the member's own checked fallback defines
-                // the semantics; prefix sharing does not apply.
-                let (accept, s) = filter.eval_with_stats(packet);
-                stats.ops_executed += s.ops_executed;
-                return accept;
-            }
-            for &t in prefix {
-                let (stamp, result) = memo[t];
-                let pass = if stamp == generation {
-                    stats.tests_memoized += 1;
-                    result
-                } else {
-                    let (word, lit) = tests[t];
-                    let r = packet.word(usize::from(word)) == Some(lit);
-                    memo[t] = (generation, r);
-                    stats.tests_evaluated += 1;
-                    stats.ops_executed += 1;
-                    r
-                };
-                if !pass {
-                    return false;
-                }
-            }
-            let (accept, ops) = filter.eval_body(packet);
-            stats.ops_executed += ops;
-            accept
-        }
-    }
-}
 
 /// How a sharded-set member is executed.
 #[derive(Debug)]
@@ -777,7 +468,7 @@ impl ShardedVnSet {
     /// [`ShardedVnSet::matches`] plus execution counters. The returned
     /// slice borrows the set's reused scratch buffer — no per-packet
     /// allocation — and is valid until the next evaluation.
-    pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], VnSetStats) {
+    pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], SetStats) {
         let (stats, ids) = self.walk(packet, false);
         (ids, stats)
     }
@@ -795,7 +486,7 @@ impl ShardedVnSet {
     pub fn matches_batch_with_stats(
         &mut self,
         packets: &[PacketView<'_>],
-    ) -> (Vec<Vec<FilterId>>, Vec<VnSetStats>) {
+    ) -> (Vec<Vec<FilterId>>, Vec<SetStats>) {
         let mut out = Vec::with_capacity(packets.len());
         let mut out_stats = Vec::with_capacity(packets.len());
         // The cached walk order: `None` = nothing cached yet; the inner
@@ -804,7 +495,7 @@ impl ShardedVnSet {
         let mut cached_key: Option<u16> = None;
         let mut cache_valid = false;
         for &packet in packets {
-            let mut stats = VnSetStats::default();
+            let mut stats = SetStats::default();
             let fast = packet.word_len() >= self.fast_min_words;
             let key = match (fast, self.shard_word) {
                 (true, Some(d)) => packet.word(usize::from(d)),
@@ -901,7 +592,7 @@ impl ShardedVnSet {
         (out, out_stats)
     }
 
-    fn walk(&mut self, packet: PacketView<'_>, stop_at_first: bool) -> (VnSetStats, &[FilterId]) {
+    fn walk(&mut self, packet: PacketView<'_>, stop_at_first: bool) -> (SetStats, &[FilterId]) {
         let Self {
             members,
             table,
@@ -915,9 +606,9 @@ impl ShardedVnSet {
         } = self;
         table.begin_packet();
         scratch.clear();
-        let mut stats = VnSetStats::default();
+        let mut stats = SetStats::default();
         let fast = packet.word_len() >= *fast_min_words;
-        let mut eval_at = |i: usize, stats: &mut VnSetStats| {
+        let mut eval_at = |i: usize, stats: &mut SetStats| {
             let m = &members[i];
             if eval_vn_member(m, packet, table, *config, stats) {
                 scratch.push(m.id);
@@ -960,7 +651,7 @@ impl ShardedVnSet {
             }
             _ => {
                 // Slow path (short packet) or no discriminating word:
-                // walk every member, exactly like the flat set.
+                // walk every member in priority order.
                 for i in 0..members.len() {
                     if eval_at(i, &mut stats) {
                         break;
@@ -1018,7 +709,7 @@ fn eval_vn_member(
     packet: PacketView<'_>,
     table: &mut TestTable,
     config: InterpConfig,
-    stats: &mut VnSetStats,
+    stats: &mut SetStats,
 ) -> bool {
     stats.filters_evaluated += 1;
     match &m.kind {
@@ -1040,141 +731,103 @@ fn eval_vn_member(
     }
 }
 
+/// One [`JitSet`] member: pf-ir's template JIT with the `jit` feature
+/// (native code where the emitter supports the target, threaded code
+/// otherwise); plain threaded code without it, so the set is always
+/// available.
+#[cfg(feature = "jit")]
+type JitMember = crate::jit::JitFilter;
+#[cfg(not(feature = "jit"))]
+type JitMember = IrFilter;
+
+/// Each filter compiled on its own — to straight-line native code under
+/// the `jit` feature — and walked in priority order like the sequential
+/// loop. Programs that fail validation are left out: the kernel
+/// quarantines them and serves them through the checked interpreter.
+#[derive(Debug)]
+pub struct JitSet {
+    members: Vec<(FilterId, JitMember)>,
+}
+
+impl JitSet {
+    /// Compiles `filters` (in demux order). `force_fallback` refuses
+    /// native emission so every member runs threaded code — a test hook,
+    /// inert without the `jit` feature.
+    pub fn new(filters: &[(FilterId, FilterProgram)], force_fallback: bool) -> Self {
+        let members = filters
+            .iter()
+            .filter_map(|(id, f)| {
+                let v = ValidatedProgram::new(f.clone()).ok()?;
+                Some((*id, compile_member(&v, force_fallback)))
+            })
+            .collect();
+        JitSet { members }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Members running native code (always zero without the `jit`
+    /// feature or on targets the emitter does not support).
+    pub fn native(&self) -> usize {
+        self.members.iter().filter(|(_, m)| is_native(m)).count()
+    }
+
+    /// Ids of every member accepting `packet`, in match order. Every
+    /// member is evaluated, each a flat-cost native or threaded-code run.
+    pub fn matches(&self, packet: PacketView<'_>) -> (Vec<FilterId>, SetStats) {
+        let ids = self
+            .members
+            .iter()
+            .filter(|(_, m)| m.eval(packet))
+            .map(|&(id, _)| id)
+            .collect();
+        let stats = SetStats {
+            filters_evaluated: self.members.len() as u32,
+            ..SetStats::default()
+        };
+        (ids, stats)
+    }
+}
+
+#[cfg(feature = "jit")]
+fn compile_member(v: &ValidatedProgram, force_fallback: bool) -> JitMember {
+    if force_fallback {
+        JitMember::from_validated_forced_fallback(v)
+    } else {
+        JitMember::from_validated(v)
+    }
+}
+
+#[cfg(not(feature = "jit"))]
+fn compile_member(v: &ValidatedProgram, _force_fallback: bool) -> JitMember {
+    JitMember::from_validated(v)
+}
+
+#[cfg(feature = "jit")]
+fn is_native(m: &JitMember) -> bool {
+    m.is_jitted()
+}
+
+#[cfg(not(feature = "jit"))]
+fn is_native(_m: &JitMember) -> bool {
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_filter::dtree::FilterSet;
-    use pf_filter::program::{Assembler, FilterProgram};
     use pf_filter::samples;
-    use pf_filter::word::BinaryOp;
 
     fn pkt(sock: u16) -> Vec<u8> {
         samples::pup_packet_3mb(2, 0, sock, 1)
-    }
-
-    #[test]
-    fn matches_in_priority_then_insertion_order() {
-        let mut set = IrFilterSet::new();
-        set.insert(1, samples::accept_all(5));
-        set.insert(2, samples::accept_all(20));
-        set.insert(3, samples::accept_all(20));
-        assert_eq!(set.matches(PacketView::new(&pkt(1))), vec![2, 3, 1]);
-        assert_eq!(set.first_match(PacketView::new(&pkt(1))), Some(2));
-    }
-
-    #[test]
-    fn replace_and_remove() {
-        let mut set = IrFilterSet::new();
-        set.insert(1, samples::pup_socket_filter(10, 0, 35));
-        assert_eq!(set.first_match(PacketView::new(&pkt(44))), None);
-        set.insert(1, samples::pup_socket_filter(10, 0, 44));
-        assert_eq!(set.len(), 1);
-        assert_eq!(set.first_match(PacketView::new(&pkt(44))), Some(1));
-        assert!(set.remove(1));
-        assert!(!set.remove(1));
-        assert!(set.is_empty());
-    }
-
-    /// `EtherType == 2 CAND DstSocketLo == sock`: the shared ethertype
-    /// guard leads, so every member reaches it.
-    fn ethertype_then_socket(sock: u16) -> FilterProgram {
-        Assembler::new(10)
-            .pushword(1)
-            .pushlit_op(BinaryOp::Cand, 2)
-            .pushword(8)
-            .pushlit_op(BinaryOp::Eq, sock)
-            .finish()
-    }
-
-    #[test]
-    fn common_prefix_is_shared_and_memoized() {
-        let mut set = IrFilterSet::new();
-        for (id, sock) in [(1u32, 35u16), (2, 44), (3, 55), (4, 66)] {
-            set.insert(id, ethertype_then_socket(sock));
-        }
-        // All four share the leading `EtherType == Pup` guard.
-        assert_eq!(set.test_count(), 1);
-        assert_eq!(set.shared_tests(), 1);
-        let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(55)));
-        assert_eq!(ids, vec![3]);
-        assert_eq!(stats.tests_evaluated, 1, "{stats:?}");
-        assert_eq!(stats.tests_memoized, 3, "shared guard reused: {stats:?}");
-    }
-
-    #[test]
-    fn prefix_sharing_matches_independent_eval() {
-        // pup_socket_filter's prefix starts with the per-port test, so the
-        // shared `DstSocketHi == 0` guard sits second; sharing must not
-        // change verdicts regardless of prefix order.
-        let mut set = IrFilterSet::new();
-        for (id, sock) in [(1u32, 35u16), (2, 44), (3, 55)] {
-            set.insert(id, samples::pup_socket_filter(10, 0, sock));
-        }
-        assert_eq!(set.shared_tests(), 1);
-        for sock in [35u16, 44, 55, 99] {
-            let p = pkt(sock);
-            let expected: Vec<FilterId> = [(1u32, 35u16), (2, 44), (3, 55)]
-                .iter()
-                .filter(|&&(_, s)| s == sock)
-                .map(|&(id, _)| id)
-                .collect();
-            assert_eq!(set.matches(PacketView::new(&p)), expected, "sock={sock}");
-        }
-    }
-
-    #[test]
-    fn invalid_program_keeps_checked_semantics() {
-        // COR accepts matching packets *before* the trailing garbage word
-        // is ever decoded; the set must preserve that behavior.
-        let mut words = Assembler::new(10)
-            .pushword(0)
-            .pushlit_op(BinaryOp::Cor, 0x0102)
-            .finish()
-            .words()
-            .to_vec();
-        words.push(15 << 6); // reserved opcode: fails validation
-        let p = FilterProgram::from_words(10, words);
-        let mut set = IrFilterSet::new();
-        set.insert(1, p);
-        assert_eq!(set.compiled(), 0);
-        assert_eq!(set.first_match(PacketView::new(&pkt(35))), Some(1));
-        assert_eq!(set.first_match(PacketView::new(&[0u8, 0])), None);
-    }
-
-    #[test]
-    fn agrees_with_decision_table_set() {
-        let mut ir = IrFilterSet::new();
-        let mut dt = FilterSet::new();
-        let filters = [
-            (1u32, samples::pup_socket_filter(10, 0, 35)),
-            (2, samples::pup_socket_filter(10, 0, 44)),
-            (3, samples::ethertype_filter(20, 2)),
-            (4, samples::fig_3_8_pup_type_range()),
-            (5, samples::reject_all(30)),
-        ];
-        for (id, f) in &filters {
-            ir.insert(*id, f.clone());
-            dt.insert(*id, f.clone());
-        }
-        for sock in [35u16, 44, 99] {
-            for ethertype in [2u16, 3] {
-                let p = samples::pup_packet_3mb(ethertype, 0, sock, 1);
-                let view = PacketView::new(&p);
-                assert_eq!(
-                    ir.matches(view),
-                    dt.matches(view),
-                    "sock={sock} et={ethertype}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn short_packets_use_member_fallback() {
-        let mut set = IrFilterSet::new();
-        set.insert(1, samples::pup_socket_filter(10, 0, 35));
-        // Too short for word 8: must reject, not panic.
-        assert_eq!(set.first_match(PacketView::new(&[1, 2, 3, 4])), None);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! member performs — not just its leading guard run — into a shared,
 //! lazily-memoized test table.
 //!
-//! [`crate::set::IrFilterSet`] shares only each member's *leading* guard
-//! prefix: the common `EtherType == Pup`-style run the compiler isolates
-//! at the head of the threaded code. But demultiplexing filters repeat
-//! tests *everywhere*: figure 3-9 puts the per-port socket test first and
-//! the shared ethertype test **last** (so the CANDs exit early on the
-//! common mismatch), which the prefix scheme cannot share at all.
+//! Sharing only each member's *leading* guard prefix — the common
+//! `EtherType == Pup`-style run the compiler isolates at the head of the
+//! threaded code — is not enough: demultiplexing filters repeat tests
+//! *everywhere*. Figure 3-9 puts the per-port socket test first and the
+//! shared ethertype test **last** (so the CANDs exit early on the common
+//! mismatch), which a prefix scheme cannot share at all.
 //!
 //! This module generalizes the sharing to the paper's full §7 "decision
 //! table" idea, grown from the IR rather than the dtree:
@@ -31,26 +31,11 @@
 //! faults, and short-circuit behavior are untouched; only redundant
 //! test computation is deduplicated.
 
+use crate::engine::SetStats;
 use crate::exec::{IrFilter, TOp};
 use crate::ir::IrBinOp;
 use pf_filter::packet::PacketView;
 use std::collections::HashMap;
-
-/// Counters from one whole-set evaluation over value-numbered members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VnSetStats {
-    /// Members whose programs (or checked fallbacks) were evaluated.
-    pub filters_evaluated: u32,
-    /// Members the shard index proved irrelevant without touching them.
-    pub filters_skipped: u32,
-    /// Interned tests evaluated fresh against the packet.
-    pub tests_evaluated: u32,
-    /// Interned tests answered from the per-packet memo.
-    pub tests_memoized: u32,
-    /// Threaded-code (or fallback interpreter) instructions executed,
-    /// including one per fresh test; memoized tests are free.
-    pub ops_executed: u32,
-}
 
 /// The shared table of interned `(packet word, literal)` equality tests,
 /// with a per-packet lazy memo.
@@ -100,7 +85,7 @@ impl TestTable {
         &mut self,
         test: u32,
         packet: PacketView<'_>,
-        stats: &mut VnSetStats,
+        stats: &mut SetStats,
     ) -> bool {
         let (stamp, result) = self.memo[test as usize];
         if stamp == self.generation {
@@ -529,7 +514,7 @@ pub(crate) fn eval_vn(
     prog: &VnProgram,
     packet: PacketView<'_>,
     table: &mut TestTable,
-    stats: &mut VnSetStats,
+    stats: &mut SetStats,
 ) -> bool {
     let mut small = [0u16; 32];
     let mut big;
@@ -794,7 +779,7 @@ mod tests {
                     let pkt = samples::pup_packet_3mb(et, 0, sock, 1);
                     let view = PacketView::new(&pkt);
                     table.begin_packet();
-                    let mut stats = VnSetStats::default();
+                    let mut stats = SetStats::default();
                     assert_eq!(
                         eval_vn(&prog, view, &mut table, &mut stats),
                         f.eval(view),
@@ -811,12 +796,12 @@ mod tests {
         let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
         let view = PacketView::new(&pkt);
         table.begin_packet();
-        let mut stats = VnSetStats::default();
+        let mut stats = SetStats::default();
         assert!(eval_vn(&prog, view, &mut table, &mut stats));
         assert_eq!(stats.tests_evaluated, 3);
         assert_eq!(stats.tests_memoized, 0);
         // Same packet generation: everything is memoized.
-        let mut again = VnSetStats::default();
+        let mut again = SetStats::default();
         assert!(eval_vn(&prog, view, &mut table, &mut again));
         assert_eq!(again.tests_evaluated, 0);
         assert_eq!(again.tests_memoized, 3);
@@ -875,7 +860,7 @@ mod tests {
         // ethertype tests are never evaluated.
         let pkt = samples::pup_packet_3mb(2, 0, 99, 1);
         table.begin_packet();
-        let mut stats = VnSetStats::default();
+        let mut stats = SetStats::default();
         assert!(!eval_vn(
             &prog,
             PacketView::new(&pkt),

@@ -966,72 +966,15 @@ impl World {
         let outcome = self.hosts[host.0].device.demux(&frame);
         {
             let h = &mut self.hosts[host.0];
-            match h.device.engine() {
-                DemuxEngine::Sequential => {
-                    for a in &outcome.applied {
-                        h.counters.filters_applied += 1;
-                        h.counters.filter_instructions += u64::from(a.stats.instructions);
-                        let cost = h.costs.filter_cost(a.stats.instructions);
-                        h.cpu.charge("pf:filter", now, cost);
-                    }
-                }
-                DemuxEngine::DecisionTable => {
-                    // One hash probe per shape, independent of population.
-                    let shapes = h.device.engine_stats().table_shapes as u32;
-                    let cost = h.costs.dtree_probe.times(u64::from(shapes.max(1)));
-                    h.cpu.charge("pf:dtree", now, cost);
-                }
-                DemuxEngine::Ir => {
-                    // Threaded-code operations are comparable to interpreter
-                    // instructions; charge them on the same cost curve.
-                    h.counters.filter_instructions += u64::from(outcome.ir_ops);
-                    let cost = h.costs.filter_cost(outcome.ir_ops);
-                    h.cpu.charge("pf:ir", now, cost);
-                }
-                DemuxEngine::Sharded => {
-                    // Same instruction-cost curve as the IR engine: the
-                    // sharded set reports value-numbered threaded-code ops
-                    // (memoized tests are free, skipped members cost
-                    // nothing).
-                    h.counters.filter_instructions += u64::from(outcome.ir_ops);
-                    let cost = h.costs.filter_cost(outcome.ir_ops);
-                    h.cpu.charge("pf:sharded", now, cost);
-                }
-                DemuxEngine::Geom => {
-                    // One index probe per `(word, range-class)` tuple —
-                    // O(log U) segment-tree work, independent of member
-                    // count — plus the threaded-code ops of the members
-                    // the index could not rule out.
-                    let tuples = h.device.engine_stats().geom_tuple_count as u64;
-                    let probe = h.costs.geom_probe.times(tuples.max(1));
-                    h.cpu.charge("pf:geom", now, probe);
-                    h.counters.filter_instructions += u64::from(outcome.ir_ops);
-                    let cost = h.costs.filter_cost(outcome.ir_ops);
-                    h.cpu.charge("pf:geom", now, cost);
-                }
-                DemuxEngine::Jit => {
-                    // Native straight-line code has no per-instruction
-                    // dispatch; each member walked is one flat evaluation.
-                    let cost = h
-                        .costs
-                        .jit_eval
-                        .times(u64::from(outcome.jit_filters.max(1)));
-                    h.cpu.charge("pf:jit", now, cost);
-                }
-            }
-            // Under the compiled engines, `applied` holds the checked
-            // fallback evaluations of quarantined filters — degradation
-            // work, charged on the interpreter's cost curve.
-            if h.device.engine() != DemuxEngine::Sequential {
-                for a in &outcome.applied {
-                    h.counters.filters_applied += 1;
-                    h.counters.filter_instructions += u64::from(a.stats.instructions);
-                    let cost = h.costs.filter_cost(a.stats.instructions);
-                    h.cpu.charge("pf:quarantine", now, cost);
-                }
-            }
-            h.counters.filter_budget_overruns += u64::from(outcome.budget_overruns);
-            h.counters.filters_quarantined += u64::from(outcome.newly_quarantined);
+            outcome.charge(
+                h.device.engine(),
+                &h.costs,
+                true,
+                &mut h.counters,
+                |label, c| {
+                    h.cpu.charge(label, now, c);
+                },
+            );
         }
         if outcome.accepted.is_empty() {
             let h = &mut self.hosts[host.0];

@@ -35,6 +35,7 @@
 //! the undefended row measurably degrades, the hardened row holds
 //! goodput (or capture coverage) at ≥ 0.95 under the same offered load.
 
+use crate::json::{Artifact, Obj, Value};
 use crate::overload::{capacity_pps, wanted_pps, BENCH_ARMOR, NIC_RING, WANTED_SOCK};
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
@@ -1087,80 +1088,56 @@ pub fn sweep(smoke: bool, seed: u64) -> AdversaryReport {
     report
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &AdversaryReport) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"adversary\",\n");
-    s.push_str(
-        "  \"workload\": \"state-machine-generated hostile flows (RSS collision flood, \
-         admission-signature mimicry, quota-gamed bursts, geom overlap bomb, \
-         monitor-evading shaping), each against the undefended and the hardened \
-         build of the mechanism it targets\",\n",
-    );
-    s.push_str(&format!(
-        "  \"seed\": {},\n  \"capacity_pps\": {},\n  \"wanted_pps\": {},\n",
-        report.seed, report.capacity_pps, report.wanted_pps
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"family\": \"{}\", \"mode\": \"{}\", \"wanted_offered\": {}, \
-             \"attack_offered\": {}, \"goodput_ratio\": {}, \"p99_latency_us\": {}, \
-             \"drops_admission\": {}, \"drops_interface\": {}, \"drops_queue_full\": {}, \
-             \"drops_mimicry_shed\": {}, \"gate_resignatures\": {}, \
-             \"candidates_capped\": {}}}{}\n",
-            p.family,
-            p.mode,
-            p.wanted_offered,
-            p.attack_offered,
-            fmt_f64(p.goodput_ratio),
-            p.p99_latency_us,
-            p.drops_admission,
-            p.drops_interface,
-            p.drops_queue_full,
-            p.drops_mimicry_shed,
-            p.gate_resignatures,
-            p.candidates_capped,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"signature\": {\n");
-    let fams = [
+/// Renders the campaign's artifact, `BENCH_adversary.json`.
+pub fn artifact(report: &AdversaryReport) -> String {
+    let f3 = |x| Value::Fixed(x, 3);
+    let rows = report.rows.iter().map(|p| {
+        Obj::new()
+            .field("family", p.family)
+            .field("mode", p.mode)
+            .field("wanted_offered", p.wanted_offered)
+            .field("attack_offered", p.attack_offered)
+            .field("goodput_ratio", f3(p.goodput_ratio))
+            .field("p99_latency_us", p.p99_latency_us)
+            .field("drops_admission", p.drops_admission)
+            .field("drops_interface", p.drops_interface)
+            .field("drops_queue_full", p.drops_queue_full)
+            .field("drops_mimicry_shed", p.drops_mimicry_shed)
+            .field("gate_resignatures", p.gate_resignatures)
+            .field("candidates_capped", p.candidates_capped)
+    });
+    let families = [
         "rss_collision",
         "mimicry",
         "quota_gaming",
         "geom_bomb",
         "monitor_evasion",
     ];
-    for (i, fam) in fams.iter().enumerate() {
+    let signature = families.map(|fam| {
         let u = report.cell(fam, "undefended");
         let h = report.cell(fam, "hardened");
-        s.push_str(&format!(
-            "    \"{fam}\": {{\"undefended_ratio\": {}, \"hardened_ratio\": {}, \
-             \"undefended_p99_us\": {}, \"hardened_p99_us\": {}}}{}\n",
-            fmt_f64(u.goodput_ratio),
-            fmt_f64(h.goodput_ratio),
-            u.p99_latency_us,
-            h.p99_latency_us,
-            if i + 1 == fams.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// Default output path: the repository root's `BENCH_adversary.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json")
+        let cell = Obj::new()
+            .field("undefended_ratio", f3(u.goodput_ratio))
+            .field("hardened_ratio", f3(h.goodput_ratio))
+            .field("undefended_p99_us", u.p99_latency_us)
+            .field("hardened_p99_us", h.p99_latency_us);
+        (fam, cell)
+    });
+    Artifact::new()
+        .field("experiment", "adversary")
+        .field(
+            "workload",
+            "state-machine-generated hostile flows (RSS collision flood, \
+             admission-signature mimicry, quota-gamed bursts, geom overlap bomb, \
+             monitor-evading shaping), each against the undefended and the hardened \
+             build of the mechanism it targets",
+        )
+        .field("seed", report.seed)
+        .field("capacity_pps", report.capacity_pps)
+        .field("wanted_pps", report.wanted_pps)
+        .rows("rows", rows)
+        .keyed("signature", signature)
+        .render()
 }
 
 #[cfg(test)]
@@ -1255,7 +1232,7 @@ mod tests {
         let report = sweep(true, DEFAULT_SEED);
         // 4 two-row families + monitor evasion's pair.
         assert_eq!(report.rows.len(), 10);
-        let json = to_json(&report);
+        let json = artifact(&report);
         assert!(json.contains("\"experiment\": \"adversary\""));
         assert!(json.contains(&format!("\"seed\": {DEFAULT_SEED}")));
         assert!(json.contains("\"signature\""));

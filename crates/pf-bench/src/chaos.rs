@@ -19,6 +19,7 @@
 //! campaign's own completion is the zero-panic invariant: every
 //! violation is an `assert!` with the seed in its message.
 
+use crate::json::{Artifact, Obj, Value};
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
 use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
@@ -734,81 +735,59 @@ pub fn sweep(smoke: bool, base_seed: u64) -> ChaosReport {
     }
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &ChaosReport) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"chaos\",\n");
-    s.push_str(
-        "  \"workload\": \"checksummed BSP transfers and VMTP transactions through a \
-         seeded fault channel (loss/corruption/truncation/reorder/duplication), plus \
-         engine-agreement and kernel-degradation scenarios\",\n",
-    );
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"loss\": {}, \"corruption\": {}, \
-             \"truncation\": {}, \"reorder\": {}, \"duplication\": {}, \
-             \"delivered\": {}, \"gave_up\": {}, \"data_packets\": {}, \
-             \"retransmits\": {}, \"discards\": {}, \"duplicates\": {}, \
-             \"out_of_order\": {}, \"faults_injected\": {}, \"steps\": {}}}{}\n",
-            p.scenario,
-            fmt_f64(p.faults.loss),
-            fmt_f64(p.faults.corruption),
-            fmt_f64(p.faults.truncation),
-            fmt_f64(p.faults.reorder),
-            fmt_f64(p.faults.duplication),
-            p.run.delivered,
-            p.run.gave_up,
-            p.run.data_packets,
-            p.run.retransmits,
-            p.run.discards,
-            p.run.duplicates,
-            p.run.out_of_order,
-            p.run.injected.total(),
-            p.run.steps,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    let e = &report.engines;
-    s.push_str(&format!(
-        "  \"engine_agreement\": {{\"programs\": {}, \"packets\": {}, \
-         \"verdicts\": {}, \"disagreements\": {}}},\n",
-        e.programs, e.packets, e.verdicts, e.disagreements
-    ));
-    let k = &report.kernel;
-    s.push_str(&format!(
-        "  \"kernel_degradation\": {{\"quarantined_ports\": {}, \
-         \"quarantine_accepts\": {}, \"compiled_accepts\": {}, \
-         \"budget_overruns\": {}, \"drop_tail_drops\": {}, \
-         \"drop_oldest_drops\": {}, \"drop_tail_keeps_oldest\": {}, \
-         \"drop_oldest_keeps_newest\": {}}}\n",
-        k.quarantined_ports,
-        k.quarantine_accepts,
-        k.compiled_accepts,
-        k.budget_overruns,
-        k.drop_tail_drops,
-        k.drop_oldest_drops,
-        k.drop_tail_keeps_oldest,
-        k.drop_oldest_keeps_newest
-    ));
-    s.push('}');
-    s.push('\n');
-    s
-}
-
-/// Default output path: the repository root's `BENCH_chaos.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json")
+/// Renders the campaign's artifact, `BENCH_chaos.json`.
+pub fn artifact(report: &ChaosReport) -> String {
+    let f2 = |x| Value::Fixed(x, 2);
+    let rows = report.rows.iter().map(|p| {
+        Obj::new()
+            .field("scenario", p.scenario)
+            .field("loss", f2(p.faults.loss))
+            .field("corruption", f2(p.faults.corruption))
+            .field("truncation", f2(p.faults.truncation))
+            .field("reorder", f2(p.faults.reorder))
+            .field("duplication", f2(p.faults.duplication))
+            .field("delivered", p.run.delivered)
+            .field("gave_up", p.run.gave_up)
+            .field("data_packets", p.run.data_packets)
+            .field("retransmits", p.run.retransmits)
+            .field("discards", p.run.discards)
+            .field("duplicates", p.run.duplicates)
+            .field("out_of_order", p.run.out_of_order)
+            .field("faults_injected", p.run.injected.total())
+            .field("steps", p.run.steps)
+    });
+    let (e, k) = (&report.engines, &report.kernel);
+    Artifact::new()
+        .field("experiment", "chaos")
+        .field(
+            "workload",
+            "checksummed BSP transfers and VMTP transactions through a seeded fault \
+             channel (loss/corruption/truncation/reorder/duplication), plus \
+             engine-agreement and kernel-degradation scenarios",
+        )
+        .field("seed", report.seed)
+        .rows("rows", rows)
+        .field(
+            "engine_agreement",
+            Obj::new()
+                .field("programs", e.programs)
+                .field("packets", e.packets)
+                .field("verdicts", e.verdicts)
+                .field("disagreements", e.disagreements),
+        )
+        .field(
+            "kernel_degradation",
+            Obj::new()
+                .field("quarantined_ports", k.quarantined_ports)
+                .field("quarantine_accepts", k.quarantine_accepts)
+                .field("compiled_accepts", k.compiled_accepts)
+                .field("budget_overruns", k.budget_overruns)
+                .field("drop_tail_drops", k.drop_tail_drops)
+                .field("drop_oldest_drops", k.drop_oldest_drops)
+                .field("drop_tail_keeps_oldest", k.drop_tail_keeps_oldest)
+                .field("drop_oldest_keeps_newest", k.drop_oldest_keeps_newest),
+        )
+        .render()
 }
 
 #[cfg(test)]
@@ -900,7 +879,7 @@ mod tests {
         let report = sweep(true, DEFAULT_SEED);
         // 3 losses x 2 mixes x 2 protocols + 2 blackout rows.
         assert_eq!(report.rows.len(), 14);
-        let json = to_json(&report);
+        let json = artifact(&report);
         assert!(json.contains("\"experiment\": \"chaos\""));
         assert!(json.contains("\"engine_agreement\""));
         assert!(json.contains("\"kernel_degradation\""));

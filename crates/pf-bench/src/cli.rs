@@ -1,37 +1,34 @@
-//! Shared command-line handling for the `bench_*` binaries.
+//! Command-line flags of `bench <campaign>`, parsed here once for all
+//! seven campaigns:
 //!
-//! Every bench binary accepts the same small vocabulary, parsed here once
-//! instead of copy-pasted per binary:
-//!
-//! * `--smoke` — the tiny CI sweep instead of the full one (only where a
-//!   binary declares it has one);
+//! * `--smoke` — the tiny CI sweep instead of the full one;
 //! * `--stdout` — print the artifact to stdout instead of writing a file;
 //! * `--out <path>` — write the artifact to `<path>` instead of the
-//!   binary's default location;
+//!   campaign's `BENCH_<name>.json`;
+//! * `--seed <u64>` — the campaign seed, decimal or `0x`-hex;
 //! * `--cores <list>` / `--batch <list>` — comma-separated worker-core
-//!   and batch-size sweeps for the multi-core binaries (`bench_mc`
-//!   sweeps them; `bench_overload` accepts them only to reject anything
-//!   but the single-core shape with a pointer to `bench_mc`).
+//!   and batch-size sweeps. Only `mc` sweeps them; every other campaign
+//!   accepts only `1` and points to `bench mc` (see [`crate::campaign`]).
 
 use std::path::PathBuf;
 
-/// Parsed bench-binary arguments.
+/// Parsed campaign flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Run the tiny CI sweep.
     pub smoke: bool,
     /// Print to stdout instead of writing the output file.
     pub stdout: bool,
-    /// Explicit output path (overrides the binary's default).
+    /// Explicit output path (overrides the campaign's default).
     pub out: Option<PathBuf>,
     /// Worker-core counts to sweep (`--cores 1,2,4,8`); `None` leaves the
-    /// binary's default sweep in place.
+    /// campaign's default sweep in place.
     pub cores: Option<Vec<usize>>,
     /// Batch sizes to sweep (`--batch 1,8,32,128`); `None` leaves the
-    /// binary's default sweep in place.
+    /// campaign's default sweep in place.
     pub batch: Option<Vec<usize>>,
     /// Campaign seed (`--seed <u64>`, decimal or `0x`-hex); `None` keeps
-    /// the binary's fixed default. Every campaign records the seed it ran
+    /// the campaign's fixed default. Every campaign records the seed it ran
     /// under in its JSON artifact, so any row is reproducible from the
     /// record alone.
     pub seed: Option<u64>,
@@ -84,10 +81,9 @@ impl BenchArgs {
     }
 }
 
-/// Parses bench arguments from an iterator (exposed for tests).
-/// `accepts_smoke` is false for binaries with no smoke mode, making
-/// `--smoke` an error there rather than a silent no-op.
-pub fn try_parse<I>(args: I, accepts_smoke: bool) -> Result<BenchArgs, String>
+/// Parses campaign flags; an unknown flag is an error listing the valid
+/// ones.
+pub fn try_parse<I>(args: I) -> Result<BenchArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
@@ -95,7 +91,7 @@ where
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" if accepts_smoke => out.smoke = true,
+            "--smoke" => out.smoke = true,
             "--stdout" => out.stdout = true,
             "--out" => match it.next() {
                 Some(p) => out.out = Some(PathBuf::from(p)),
@@ -114,32 +110,14 @@ where
                 None => return Err("--seed requires a value (e.g. --seed 0xC0FFEE)".into()),
             },
             other => {
-                let smoke = if accepts_smoke { "--smoke, " } else { "" };
                 return Err(format!(
-                    "unknown argument `{other}` (valid flags: {smoke}--stdout, --out <path>, \
+                    "unknown argument `{other}` (valid flags: --smoke, --stdout, --out <path>, \
                      --cores <list>, --batch <list>, --seed <u64>)"
                 ));
             }
         }
     }
     Ok(out)
-}
-
-/// Parses `std::env::args()`; on error prints usage for `bin` to stderr
-/// and exits with status 2.
-pub fn parse_or_exit(bin: &str, accepts_smoke: bool) -> BenchArgs {
-    match try_parse(std::env::args().skip(1), accepts_smoke) {
-        Ok(a) => a,
-        Err(e) => {
-            let smoke = if accepts_smoke { "[--smoke] " } else { "" };
-            eprintln!("{bin}: {e}");
-            eprintln!(
-                "usage: {bin} {smoke}[--stdout] [--out <path>] [--cores <list>] [--batch <list>] \
-                 [--seed <u64>]"
-            );
-            std::process::exit(2);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +130,7 @@ mod tests {
 
     #[test]
     fn parses_the_full_vocabulary() {
-        let a = try_parse(args(&["--smoke", "--out", "x.json"]), true).unwrap();
+        let a = try_parse(args(&["--smoke", "--out", "x.json"])).unwrap();
         assert!(a.smoke);
         assert!(!a.stdout);
         assert_eq!(a.out, Some(PathBuf::from("x.json")));
@@ -161,30 +139,29 @@ mod tests {
 
     #[test]
     fn defaults_write_to_the_default_path() {
-        let a = try_parse(args(&[]), true).unwrap();
+        let a = try_parse(args(&[])).unwrap();
         assert_eq!(a, BenchArgs::default());
         assert_eq!(a.out_path(PathBuf::from("d.json")), Some("d.json".into()));
     }
 
     #[test]
     fn stdout_wins_over_paths() {
-        let a = try_parse(args(&["--stdout", "--out", "x.json"]), true).unwrap();
+        let a = try_parse(args(&["--stdout", "--out", "x.json"])).unwrap();
         assert_eq!(a.out_path(PathBuf::from("d.json")), None);
     }
 
     #[test]
-    fn rejects_unknown_flags_and_smoke_where_unsupported() {
-        assert!(try_parse(args(&["--frob"]), true).is_err());
-        assert!(try_parse(args(&["--smoke"]), false).is_err());
-        assert!(try_parse(args(&["--out"]), true).is_err(), "missing path");
+    fn rejects_unknown_flags_and_missing_values() {
+        assert!(try_parse(args(&["--frob"])).is_err());
+        assert!(try_parse(args(&["--out"])).is_err(), "missing path");
     }
 
     #[test]
     fn parses_core_and_batch_sweeps() {
-        let a = try_parse(args(&["--cores", "1,2,4,8", "--batch", "1,32"]), true).unwrap();
+        let a = try_parse(args(&["--cores", "1,2,4,8", "--batch", "1,32"])).unwrap();
         assert_eq!(a.cores, Some(vec![1, 2, 4, 8]));
         assert_eq!(a.batch, Some(vec![1, 32]));
-        let a = try_parse(args(&["--cores", "4"]), false).unwrap();
+        let a = try_parse(args(&["--cores", "4"])).unwrap();
         assert_eq!(a.cores, Some(vec![4]));
         assert_eq!(a.batch, None);
     }
@@ -193,50 +170,46 @@ mod tests {
     fn rejects_zero_and_garbage_core_and_batch_values() {
         // Zero cores/batch is meaningless; the error must say so and show
         // the valid form rather than silently clamping.
-        let e = try_parse(args(&["--cores", "0"]), true).unwrap_err();
+        let e = try_parse(args(&["--cores", "0"])).unwrap_err();
         assert!(
             e.contains("at least 1") && e.contains("--cores 1,2,4,8"),
             "{e}"
         );
-        let e = try_parse(args(&["--batch", "8,0"]), true).unwrap_err();
+        let e = try_parse(args(&["--batch", "8,0"])).unwrap_err();
         assert!(
             e.contains("at least 1") && e.contains("--batch 1,8,32,128"),
             "{e}"
         );
-        let e = try_parse(args(&["--cores", "two"]), true).unwrap_err();
+        let e = try_parse(args(&["--cores", "two"])).unwrap_err();
         assert!(
             e.contains("positive integers") && e.contains("`two`"),
             "{e}"
         );
-        assert!(try_parse(args(&["--cores"]), true).is_err(), "missing list");
-        assert!(try_parse(args(&["--batch", ""]), true).is_err(), "empty");
+        assert!(try_parse(args(&["--cores"])).is_err(), "missing list");
+        assert!(try_parse(args(&["--batch", ""])).is_err(), "empty");
     }
 
     #[test]
     fn parses_seed_in_decimal_and_hex() {
-        let a = try_parse(args(&["--seed", "12345"]), true).unwrap();
+        let a = try_parse(args(&["--seed", "12345"])).unwrap();
         assert_eq!(a.seed, Some(12345));
-        let a = try_parse(args(&["--seed", "0xC0FFEE"]), false).unwrap();
+        let a = try_parse(args(&["--seed", "0xC0FFEE"])).unwrap();
         assert_eq!(a.seed, Some(0xC0FFEE));
-        assert_eq!(try_parse(args(&[]), true).unwrap().seed, None);
-        let e = try_parse(args(&["--seed", "lucky"]), true).unwrap_err();
+        assert_eq!(try_parse(args(&[])).unwrap().seed, None);
+        let e = try_parse(args(&["--seed", "lucky"])).unwrap_err();
         assert!(e.contains("--seed") && e.contains("`lucky`"), "{e}");
-        assert!(try_parse(args(&["--seed"]), true).is_err(), "missing value");
+        assert!(try_parse(args(&["--seed"])).is_err(), "missing value");
     }
 
     #[test]
     fn unknown_flag_errors_list_the_valid_vocabulary() {
         // A misspelled `--smoke` must fail loudly (not silently run the
         // full campaign) and tell the user what would have worked.
-        let e = try_parse(args(&["--smok"]), true).unwrap_err();
+        let e = try_parse(args(&["--smok"])).unwrap_err();
         assert!(e.contains("--smok"), "{e}");
         assert!(
             e.contains("--smoke") && e.contains("--stdout") && e.contains("--out"),
             "{e}"
         );
-        // Where there is no smoke mode, the listing must not advertise it.
-        let e = try_parse(args(&["--smoke"]), false).unwrap_err();
-        assert!(!e.contains("--smoke,"), "{e}");
-        assert!(e.contains("--stdout") && e.contains("--out"), "{e}");
     }
 }

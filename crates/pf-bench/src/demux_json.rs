@@ -26,6 +26,7 @@
 //! mix. The executed-test counters come from the sets' own stats and are
 //! exact; tests assert on those (deterministic), never on timing.
 
+use crate::json::{Artifact, Obj, Value};
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
@@ -543,93 +544,77 @@ pub fn range_sweep(smoke: bool) -> (Vec<RangePoint>, Vec<ChurnPoint>) {
     (ladder, churn)
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the sweep, the mixed exact/range ladder, and the churn
-/// column as one JSON document (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(
+/// column as the campaign's artifact, `BENCH_demux.json`.
+pub fn artifact(
     points: &[DemuxPoint],
     ladder: &[RangePoint],
     churn: &[ChurnPoint],
     seed: u64,
 ) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"demux_scaling\",\n");
-    // This campaign draws no randomness (populations and traffic are
-    // pinned); the seed is recorded so every BENCH_*.json carries the
-    // same replay field.
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str("  \"unit\": \"ns/packet, wall clock\",\n");
-    s.push_str(
-        "  \"workload\": \"multi-ethertype population (8 ethertypes x n/8 sockets), \
-         round-robin traffic with 25% no-match strays\",\n",
-    );
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"population\": {}, \"ns_per_packet\": {}, \
-             \"tests_evaluated_per_packet\": {}, \"tests_memoized_per_packet\": {}, \
-             \"filters_evaluated_per_packet\": {}}}{}\n",
-            p.engine,
-            p.population,
-            fmt_f64(p.ns_per_packet),
-            fmt_f64(p.tests_evaluated_per_packet),
-            fmt_f64(p.tests_memoized_per_packet),
-            fmt_f64(p.filters_evaluated_per_packet),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"range_workload\": \"mixed exact/range population ({RANGE_SHARE_PERCENT}% narrow \
-         socket-range filters), socket-probe traffic with 25% exact hits and 25% strays\",\n",
-    ));
-    s.push_str("  \"range_rows\": [\n");
-    for (i, p) in ladder.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"population\": {}, \"ns_per_packet\": {}, \
-             \"filters_evaluated_per_packet\": {}, \"ops_executed_per_packet\": {}, \
-             \"nodes_visited_per_packet\": {}}}{}\n",
-            p.engine,
-            p.population,
-            fmt_f64(p.ns_per_packet),
-            fmt_f64(p.filters_evaluated_per_packet),
-            fmt_f64(p.ops_executed_per_packet),
-            fmt_f64(p.nodes_visited_per_packet),
-            if i + 1 == ladder.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(
-        "  \"churn_unit\": \"ns/update, wall clock, one update = remove + reinsert at a \
-         standing population\",\n",
-    );
-    s.push_str("  \"churn_rows\": [\n");
-    for (i, p) in churn.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"population\": {}, \"updates\": {}, \
-             \"ns_per_update\": {}, \"rebuilds\": {}}}{}\n",
-            p.engine,
-            p.population,
-            p.updates,
-            fmt_f64(p.ns_per_update),
-            p.rebuilds,
-            if i + 1 == churn.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Default output path: the repository root's `BENCH_demux.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_demux.json")
+    let f2 = |x| Value::Fixed(x, 2);
+    let rows = points.iter().map(|p| {
+        Obj::new()
+            .field("engine", p.engine)
+            .field("population", p.population)
+            .field("ns_per_packet", f2(p.ns_per_packet))
+            .field(
+                "tests_evaluated_per_packet",
+                f2(p.tests_evaluated_per_packet),
+            )
+            .field("tests_memoized_per_packet", f2(p.tests_memoized_per_packet))
+            .field(
+                "filters_evaluated_per_packet",
+                f2(p.filters_evaluated_per_packet),
+            )
+    });
+    let range_rows = ladder.iter().map(|p| {
+        Obj::new()
+            .field("engine", p.engine)
+            .field("population", p.population)
+            .field("ns_per_packet", f2(p.ns_per_packet))
+            .field(
+                "filters_evaluated_per_packet",
+                f2(p.filters_evaluated_per_packet),
+            )
+            .field("ops_executed_per_packet", f2(p.ops_executed_per_packet))
+            .field("nodes_visited_per_packet", f2(p.nodes_visited_per_packet))
+    });
+    let churn_rows = churn.iter().map(|p| {
+        Obj::new()
+            .field("engine", p.engine)
+            .field("population", p.population)
+            .field("updates", p.updates)
+            .field("ns_per_update", f2(p.ns_per_update))
+            .field("rebuilds", p.rebuilds)
+    });
+    Artifact::new()
+        .field("experiment", "demux_scaling")
+        // This campaign draws no randomness (populations and traffic are
+        // pinned); the seed is recorded so every BENCH_*.json carries the
+        // same replay field.
+        .field("seed", seed)
+        .field("unit", "ns/packet, wall clock")
+        .field(
+            "workload",
+            "multi-ethertype population (8 ethertypes x n/8 sockets), round-robin \
+             traffic with 25% no-match strays",
+        )
+        .rows("rows", rows)
+        .field(
+            "range_workload",
+            format!(
+                "mixed exact/range population ({RANGE_SHARE_PERCENT}% narrow socket-range \
+                 filters), socket-probe traffic with 25% exact hits and 25% strays"
+            ),
+        )
+        .rows("range_rows", range_rows)
+        .field(
+            "churn_unit",
+            "ns/update, wall clock, one update = remove + reinsert at a standing population",
+        )
+        .rows("churn_rows", churn_rows)
+        .render()
 }
 
 #[cfg(test)]
@@ -801,7 +786,7 @@ mod tests {
             ns_per_update: 900.0,
             rebuilds: 1,
         }];
-        let json = to_json(&points, &ladder, &churn, 7);
+        let json = artifact(&points, &ladder, &churn, 7);
         assert!(json.contains("\"seed\": 7"));
         assert!(json.contains("\"engine\": \"sharded\""));
         assert!(json.contains("\"population\": 16"));

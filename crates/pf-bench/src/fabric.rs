@@ -28,7 +28,8 @@
 //!   stat) must match bit-for-bit under fault schedules too.
 
 use crate::flowgen::{self, Arrival, FlowSpec, Pattern, SizeMix, Transport};
-use crate::netbench::{ring_topology, DEFAULT_SEED};
+use crate::json::{Artifact, Obj, Value};
+use crate::netbench::{self, ring_topology};
 use pf_kernel::World;
 use pf_net::fabric::FabricSchedule;
 use pf_net::frame;
@@ -40,6 +41,9 @@ use pf_sim::queue::QueueBackend;
 use pf_sim::time::{SimDuration, SimTime};
 use pf_sim::SimClock;
 use std::collections::HashMap;
+
+/// Default workload seed: the topology campaign's.
+pub const DEFAULT_SEED: u64 = netbench::DEFAULT_SEED;
 
 /// When the first fault hits (traffic starts at ~0 and runs to ~2.3s,
 /// so there is ample pre-fault and post-fault signal).
@@ -718,85 +722,56 @@ fn assert_cell(
     }
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
+/// Renders the campaign's artifact, `BENCH_fabric.json`.
+pub fn artifact(report: &FabricReport) -> String {
+    let f3 = |x| Value::Fixed(x, 3);
+    let rows = report.rows.iter().map(|p| {
+        Obj::new()
+            .field("scenario", p.scenario)
+            .field("deploy", p.deploy)
+            .field("backend", p.backend)
+            .field("nodes", p.nodes)
+            .field("routers", p.routers)
+            .field("links", p.links)
+            .field("packets", p.packets)
+            .field("delivered", p.delivered)
+            .field("delivered_frac", f3(p.delivered_frac))
+            .field("blackholed", p.blackholed)
+            .field("expected_after_check", p.expected_after_check)
+            .field("delivered_after_check", p.delivered_after_check)
+            .field("recovered_frac", f3(p.recovered_frac))
+            .field("ttl_expired", p.ttl_expired)
+            .field("no_route", p.no_route)
+            .field("hellos_sent", p.hellos_sent)
+            .field("control_in", p.control_in)
+            .field("neighbors_lost", p.neighbors_lost)
+            .field("neighbors_recovered", p.neighbors_recovered)
+            .field("failovers", p.failovers)
+            .field("reconvergences", p.reconvergences)
+            .field("route_churn", p.route_churn)
+            .field("convergence_ms", f3(p.convergence_ms))
+            .field("wall_ms", f3(p.wall_ms))
+    });
+    let asserts: &[&str] = &[
+        "undefended losses equal blackhole drops exactly",
+        "hardened delivers >=99% of surviving-path traffic post-settle",
+        "zero TTL expiries in every cell",
+        "route changes stop by the convergence deadline",
+        "churn and reconvergences under closed-form caps",
+        "heap and calendar histories identical under faults",
+    ];
+    Artifact::new()
+        .field("campaign", "fabric")
+        .field("seed", report.seed)
+        .field("smoke", report.smoke)
+        .field("hello_ms", report.hello_ms)
+        .field("dead_ms", report.dead_ms)
+        .field("conv_base_ms", report.conv_base_ms)
+        .field("conv_per_hop_ms", report.conv_per_hop_ms)
+        .field("asserts", asserts)
+        .rows("rows", rows)
+        .render()
 }
-
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic,
-/// no serde).
-pub fn to_json(report: &FabricReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"campaign\": \"fabric\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!("  \"smoke\": {},\n", report.smoke));
-    s.push_str(&format!(
-        "  \"hello_ms\": {}, \"dead_ms\": {}, \"conv_base_ms\": {}, \
-         \"conv_per_hop_ms\": {},\n",
-        report.hello_ms, report.dead_ms, report.conv_base_ms, report.conv_per_hop_ms
-    ));
-    s.push_str(
-        "  \"asserts\": [\"undefended losses equal blackhole drops exactly\", \
-         \"hardened delivers >=99% of surviving-path traffic post-settle\", \
-         \"zero TTL expiries in every cell\", \
-         \"route changes stop by the convergence deadline\", \
-         \"churn and reconvergences under closed-form caps\", \
-         \"heap and calendar histories identical under faults\"],\n",
-    );
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"deploy\": \"{}\", \"backend\": \"{}\", \
-             \"nodes\": {}, \"routers\": {}, \"links\": {}, \"packets\": {}, \
-             \"delivered\": {}, \"delivered_frac\": {}, \"blackholed\": {}, \
-             \"expected_after_check\": {}, \"delivered_after_check\": {}, \
-             \"recovered_frac\": {}, \"ttl_expired\": {}, \"no_route\": {}, \
-             \"hellos_sent\": {}, \"control_in\": {}, \"neighbors_lost\": {}, \
-             \"neighbors_recovered\": {}, \"failovers\": {}, \"reconvergences\": {}, \
-             \"route_churn\": {}, \"convergence_ms\": {}, \"wall_ms\": {}}}{}\n",
-            p.scenario,
-            p.deploy,
-            p.backend,
-            p.nodes,
-            p.routers,
-            p.links,
-            p.packets,
-            p.delivered,
-            fmt_f64(p.delivered_frac),
-            p.blackholed,
-            p.expected_after_check,
-            p.delivered_after_check,
-            fmt_f64(p.recovered_frac),
-            p.ttl_expired,
-            p.no_route,
-            p.hellos_sent,
-            p.control_in,
-            p.neighbors_lost,
-            p.neighbors_recovered,
-            p.failovers,
-            p.reconvergences,
-            p.route_churn,
-            fmt_f64(p.convergence_ms),
-            fmt_f64(p.wall_ms),
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Where the committed artifact lives.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fabric.json")
-}
-
-/// Re-exported so the binary and the campaign agree on one default.
-pub const FABRIC_SEED: u64 = DEFAULT_SEED;
 
 #[cfg(test)]
 mod tests {
@@ -905,7 +880,7 @@ mod tests {
                 wall_ms: 3.5,
             }],
         };
-        let json = to_json(&report);
+        let json = artifact(&report);
         for key in [
             "\"campaign\": \"fabric\"",
             "\"seed\": 7",
@@ -921,6 +896,5 @@ mod tests {
             json.matches('}').count(),
             "balanced braces"
         );
-        assert!(default_path().ends_with("BENCH_fabric.json"));
     }
 }

@@ -27,6 +27,7 @@
 //! beats batch=1 on per-packet cost for the sharded engine at this
 //! population. A zero exit is the campaign's proof.
 
+use crate::json::{Artifact, Obj, Value};
 use pf_filter::samples;
 use pf_kernel::mc::{McConfig, McPipeline, Placement, RssConfig};
 use pf_kernel::world::OverloadConfig;
@@ -325,97 +326,66 @@ pub fn sweep(
     report
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &McReportTable) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"mc\",\n");
-    s.push_str(
-        "  \"workload\": \"saturating burst over a population of pinned single-socket \
-         flows plus ~5% junk caught by a replicated wildcard, swept across worker \
-         cores, engine batch sizes, and demux engines\",\n",
-    );
-    s.push_str(&format!(
-        "  \"seed\": {},\n  \"population\": {},\n  \"frames_per_cell\": {},\n",
-        report.seed, report.population, report.frames
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"cores\": {}, \"batch\": {}, \
-             \"offered\": {}, \"delivered\": {}, \"goodput_pps\": {}, \
-             \"cost_per_packet_us\": {}, \"p50_latency_us\": {}, \
-             \"p99_latency_us\": {}, \"frames_steered\": {}, \
-             \"cross_core_wakeups\": {}, \"queue_steals\": {}, \
-             \"batches_executed\": {}, \"drops_interface\": {}, \
-             \"drops_no_match\": {}, \"pinned\": {}, \"replicated\": {}}}{}\n",
-            p.engine,
-            p.cores,
-            p.batch,
-            p.offered,
-            p.delivered,
-            fmt_f64(p.goodput_pps),
-            fmt_f64(p.cost_per_packet_us),
-            p.p50_latency_us,
-            p.p99_latency_us,
-            p.frames_steered,
-            p.cross_core_wakeups,
-            p.queue_steals,
-            p.batches_executed,
-            p.drops_interface,
-            p.drops_no_match,
-            p.pinned,
-            p.replicated,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"signature\": {\n");
-    let engines: Vec<&str> = {
-        let mut v: Vec<&str> = report.rows.iter().map(|r| r.engine).collect();
-        v.dedup();
-        v
-    };
+/// Renders the campaign's artifact, `BENCH_mc.json`.
+pub fn artifact(report: &McReportTable) -> String {
+    let f3 = |x| Value::Fixed(x, 3);
+    let rows = report.rows.iter().map(|p| {
+        Obj::new()
+            .field("engine", p.engine)
+            .field("cores", p.cores)
+            .field("batch", p.batch)
+            .field("offered", p.offered)
+            .field("delivered", p.delivered)
+            .field("goodput_pps", f3(p.goodput_pps))
+            .field("cost_per_packet_us", f3(p.cost_per_packet_us))
+            .field("p50_latency_us", p.p50_latency_us)
+            .field("p99_latency_us", p.p99_latency_us)
+            .field("frames_steered", p.frames_steered)
+            .field("cross_core_wakeups", p.cross_core_wakeups)
+            .field("queue_steals", p.queue_steals)
+            .field("batches_executed", p.batches_executed)
+            .field("drops_interface", p.drops_interface)
+            .field("drops_no_match", p.drops_no_match)
+            .field("pinned", p.pinned)
+            .field("replicated", p.replicated)
+    });
+    let mut engines: Vec<&str> = report.rows.iter().map(|r| r.engine).collect();
+    engines.dedup();
     let scaling_batch = report
         .rows
         .iter()
         .map(|r| r.batch)
         .find(|&b| b == 32)
         .unwrap_or(report.rows[0].batch);
-    for (ei, label) in engines.iter().enumerate() {
+    let signature = engines.into_iter().map(|label| {
         let gp = |cores: usize| {
             report
                 .rows
                 .iter()
-                .find(|r| r.engine == *label && r.cores == cores && r.batch == scaling_batch)
+                .find(|r| r.engine == label && r.cores == cores && r.batch == scaling_batch)
                 .map(|r| r.goodput_pps)
         };
         let speedup = match (gp(1), gp(4)) {
             (Some(one), Some(four)) if one > 0.0 => four / one,
             _ => f64::NAN,
         };
-        s.push_str(&format!(
-            "    \"{}\": {{\"speedup_4c_over_1c_at_batch_{}\": {}}}{}\n",
-            label,
-            scaling_batch,
-            fmt_f64(speedup),
-            if ei + 1 == engines.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// Default output path: the repository root's `BENCH_mc.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mc.json")
+        let key = format!("speedup_4c_over_1c_at_batch_{scaling_batch}");
+        (label, Obj::new().field(key, f3(speedup)))
+    });
+    Artifact::new()
+        .field("experiment", "mc")
+        .field(
+            "workload",
+            "saturating burst over a population of pinned single-socket flows plus ~5% \
+             junk caught by a replicated wildcard, swept across worker cores, engine \
+             batch sizes, and demux engines",
+        )
+        .field("seed", report.seed)
+        .field("population", report.population)
+        .field("frames_per_cell", report.frames)
+        .rows("rows", rows)
+        .keyed("signature", signature)
+        .render()
 }
 
 #[cfg(test)]
@@ -437,7 +407,7 @@ mod tests {
         let report = sweep(true, None, None, 0);
         // 1 engine x 2 core counts x 2 batch sizes.
         assert_eq!(report.rows.len(), 4);
-        let json = to_json(&report);
+        let json = artifact(&report);
         assert!(json.contains("\"experiment\": \"mc\""));
         assert!(json.contains("\"signature\""));
         assert_eq!(

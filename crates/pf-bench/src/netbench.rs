@@ -25,6 +25,7 @@
 //!   where the calendar's year-scan loses, and the artifact says so.
 
 use crate::flowgen::{self, Arrival, FlowSpec, Pattern, SizeMix, Transport};
+use crate::json::{Artifact, Obj, Value};
 use pf_kernel::World;
 use pf_net::frame;
 use pf_net::medium::Medium;
@@ -411,79 +412,46 @@ pub fn sweep(smoke: bool, seed: u64) -> NetReport {
     }
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic,
-/// no serde).
-pub fn to_json(report: &NetReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"campaign\": \"net\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!("  \"smoke\": {},\n", report.smoke));
-    s.push_str(
-        "  \"asserts\": [\"exact routed delivery per host\", \
-         \"heap and calendar histories identical\", \
-         \"calendar >= heap ops/s at >= 10k pending\"],\n",
-    );
-    s.push_str("  \"topology\": [\n");
-    for (i, p) in report.topology.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"nodes\": {}, \"routers\": {}, \"hosts\": {}, \"links\": {}, \
-             \"flows\": {}, \"packets\": {}, \"churn_events\": {}, \"backend\": \"{}\", \
-             \"delivered\": {}, \"delivery_frac\": {}, \"forwarded\": {}, \
-             \"sim_end_ns\": {}, \"wall_ms\": {}, \"pkts_per_sec\": {}}}{}\n",
-            p.nodes,
-            p.routers,
-            p.hosts,
-            p.links,
-            p.flows,
-            p.packets,
-            p.churn_events,
-            p.backend,
-            p.delivered,
-            fmt_f64(p.delivery_frac),
-            p.forwarded,
-            p.sim_end_ns,
-            fmt_f64(p.wall_ms),
-            fmt_f64(p.pkts_per_sec),
-            if i + 1 < report.topology.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"event_core\": [\n");
-    for (i, p) in report.event_core.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"pending\": {}, \"ops\": {}, \"ops_per_sec\": {}}}{}\n",
-            p.backend,
-            p.pending,
-            p.ops,
-            fmt_f64(p.ops_per_sec),
-            if i + 1 < report.event_core.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Where the committed artifact lives.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net.json")
+/// Renders the campaign's artifact, `BENCH_net.json`.
+pub fn artifact(report: &NetReport) -> String {
+    let f3 = |x| Value::Fixed(x, 3);
+    let topology = report.topology.iter().map(|p| {
+        Obj::new()
+            .field("nodes", p.nodes)
+            .field("routers", p.routers)
+            .field("hosts", p.hosts)
+            .field("links", p.links)
+            .field("flows", p.flows)
+            .field("packets", p.packets)
+            .field("churn_events", p.churn_events)
+            .field("backend", p.backend)
+            .field("delivered", p.delivered)
+            .field("delivery_frac", f3(p.delivery_frac))
+            .field("forwarded", p.forwarded)
+            .field("sim_end_ns", p.sim_end_ns)
+            .field("wall_ms", f3(p.wall_ms))
+            .field("pkts_per_sec", f3(p.pkts_per_sec))
+    });
+    let event_core = report.event_core.iter().map(|p| {
+        Obj::new()
+            .field("backend", p.backend)
+            .field("pending", p.pending)
+            .field("ops", p.ops)
+            .field("ops_per_sec", f3(p.ops_per_sec))
+    });
+    let asserts: &[&str] = &[
+        "exact routed delivery per host",
+        "heap and calendar histories identical",
+        "calendar >= heap ops/s at >= 10k pending",
+    ];
+    Artifact::new()
+        .field("campaign", "net")
+        .field("seed", report.seed)
+        .field("smoke", report.smoke)
+        .field("asserts", asserts)
+        .rows("topology", topology)
+        .rows("event_core", event_core)
+        .render()
 }
 
 #[cfg(test)]
@@ -565,7 +533,7 @@ mod tests {
                 ops_per_sec: 1e6,
             }],
         };
-        let json = to_json(&report);
+        let json = artifact(&report);
         for key in [
             "\"campaign\": \"net\"",
             "\"topology\"",
@@ -580,6 +548,5 @@ mod tests {
             json.matches('}').count(),
             "balanced braces"
         );
-        assert!(default_path().ends_with("BENCH_net.json"));
     }
 }

@@ -21,6 +21,7 @@
 //! traffic it then throws away, and the consumer starves. A completed
 //! sweep is itself the proof: every claim is an `assert!`.
 
+use crate::json::{Artifact, Obj, Value};
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
@@ -465,88 +466,56 @@ pub fn sweep(smoke: bool, seed: u64) -> OverloadReport {
     report
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &OverloadReport) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"overload\",\n");
-    s.push_str(
-        "  \"workload\": \"protected high-priority stream plus a best-effort flood, \
-         offered at 0.5x-8x of unarmored receive capacity, across armor tiers \
-         {none, polling, shedding, full} and demux engines {dtree, sharded, jit}\",\n",
-    );
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!(
-        "  \"capacity_pps\": {},\n  \"wanted_pps\": {},\n  \"duration_ms\": {},\n",
-        report.capacity_pps,
-        report.wanted_pps,
-        report.duration.as_nanos() / 1_000_000
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"armor\": \"{}\", \"offered_x\": {}, \
-             \"offered_pps\": {}, \"wanted_offered\": {}, \"junk_offered\": {}, \
-             \"goodput_pps\": {}, \"useful_frac\": {}, \"demux_frac\": {}, \
-             \"driver_frac\": {}, \"drops_admission\": {}, \"drops_queue_full\": {}, \
-             \"drops_interface\": {}, \"drops_no_match\": {}, \"p99_latency_us\": {}, \
-             \"poll_batches\": {}, \"rx_mode_switches\": {}, \
-             \"backpressure_signals\": {}}}{}\n",
-            p.engine,
-            p.armor,
-            fmt_f64(p.offered_x),
-            p.offered_pps,
-            p.wanted_offered,
-            p.junk_offered,
-            fmt_f64(p.goodput_pps),
-            fmt_f64(p.useful_frac),
-            fmt_f64(p.demux_frac),
-            fmt_f64(p.driver_frac),
-            p.drops_admission,
-            p.drops_queue_full,
-            p.drops_interface,
-            p.drops_no_match,
-            p.p99_latency_us,
-            p.poll_batches,
-            p.rx_mode_switches,
-            p.backpressure_signals,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"signature\": {\n");
-    for (ei, (_, label)) in ENGINES.iter().enumerate() {
+/// Renders the campaign's artifact, `BENCH_overload.json`.
+pub fn artifact(report: &OverloadReport) -> String {
+    let f3 = |x| Value::Fixed(x, 3);
+    let rows = report.rows.iter().map(|p| {
+        Obj::new()
+            .field("engine", p.engine)
+            .field("armor", p.armor)
+            .field("offered_x", f3(p.offered_x))
+            .field("offered_pps", p.offered_pps)
+            .field("wanted_offered", p.wanted_offered)
+            .field("junk_offered", p.junk_offered)
+            .field("goodput_pps", f3(p.goodput_pps))
+            .field("useful_frac", f3(p.useful_frac))
+            .field("demux_frac", f3(p.demux_frac))
+            .field("driver_frac", f3(p.driver_frac))
+            .field("drops_admission", p.drops_admission)
+            .field("drops_queue_full", p.drops_queue_full)
+            .field("drops_interface", p.drops_interface)
+            .field("drops_no_match", p.drops_no_match)
+            .field("p99_latency_us", p.p99_latency_us)
+            .field("poll_batches", p.poll_batches)
+            .field("rx_mode_switches", p.rx_mode_switches)
+            .field("backpressure_signals", p.backpressure_signals)
+    });
+    let signature = ENGINES.iter().map(|&(_, label)| {
         let ratio = |armor: &str| {
             let one = report.cell(label, armor, 1.0).goodput_pps;
             let eight = report.cell(label, armor, 8.0).goodput_pps;
-            if one > 0.0 {
-                eight / one
-            } else {
-                f64::NAN
-            }
+            f3(if one > 0.0 { eight / one } else { f64::NAN })
         };
-        s.push_str(&format!(
-            "    \"{}\": {{\"full_8x_over_1x\": {}, \"none_8x_over_1x\": {}}}{}\n",
-            label,
-            fmt_f64(ratio("full")),
-            fmt_f64(ratio("none")),
-            if ei + 1 == ENGINES.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// Default output path: the repository root's `BENCH_overload.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_overload.json")
+        let cell = Obj::new()
+            .field("full_8x_over_1x", ratio("full"))
+            .field("none_8x_over_1x", ratio("none"));
+        (label, cell)
+    });
+    Artifact::new()
+        .field("experiment", "overload")
+        .field(
+            "workload",
+            "protected high-priority stream plus a best-effort flood, offered at \
+             0.5x-8x of unarmored receive capacity, across armor tiers \
+             {none, polling, shedding, full} and demux engines {dtree, sharded, jit}",
+        )
+        .field("seed", report.seed)
+        .field("capacity_pps", report.capacity_pps)
+        .field("wanted_pps", report.wanted_pps)
+        .field("duration_ms", report.duration.as_nanos() / 1_000_000)
+        .rows("rows", rows)
+        .keyed("signature", signature)
+        .render()
 }
 
 #[cfg(test)]
@@ -582,7 +551,7 @@ mod tests {
         let report = sweep(true, DEFAULT_SEED);
         // 3 engines x 4 tiers x 2 multiples.
         assert_eq!(report.rows.len(), 24);
-        let json = to_json(&report);
+        let json = artifact(&report);
         assert!(json.contains("\"experiment\": \"overload\""));
         assert!(json.contains("\"signature\""));
         assert_eq!(

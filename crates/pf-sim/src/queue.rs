@@ -15,7 +15,7 @@
 //!   global order — the tie-break is preserved exactly.
 //! * [`QueueBackend::Heap`] — the classic global `BinaryHeap`, O(log n)
 //!   per operation. Kept as the reference implementation for
-//!   differential tests and as the comparison arm of `bench_net`'s
+//!   differential tests and as the comparison arm of `bench net`'s
 //!   event-core sweep.
 //!
 //! Cancellation is lazy in both backends: a cancelled entry stays in its

@@ -19,65 +19,17 @@ run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
 run cargo test --workspace -q
-# Chaos-campaign invariants (zero panics, eventual delivery, bounded
-# retries); --stdout keeps the checked-in full-sweep BENCH_chaos.json.
-echo "==> cargo run -p pf-bench --release --bin bench_chaos -- --smoke --stdout"
-cargo run -p pf-bench --release --bin bench_chaos -- --smoke --stdout > /dev/null
-# Overload-campaign invariants (flat full-armor goodput past saturation,
-# no-armor livelock cliff, drop-at-NIC vs after-demux accounting); the
-# smoke artifact goes to a temp path so the checked-in full-sweep
-# BENCH_overload.json stays intact, and must parse as JSON.
-echo "==> cargo run -p pf-bench --release --bin bench_overload -- --smoke --out <tmp>"
-overload_json="$(mktemp)"
-cargo run -p pf-bench --release --bin bench_overload -- --smoke --out "$overload_json" > /dev/null
-python3 -m json.tool "$overload_json" > /dev/null
-rm -f "$overload_json"
-# Multi-core campaign invariants (frame conservation, RSS pinning and
-# steering, 4-core >= 3x one-core goodput, batching beats batch=1 cost);
-# same temp-path treatment so the checked-in BENCH_mc.json stays intact.
-echo "==> cargo run -p pf-bench --release --bin bench_mc -- --smoke --out <tmp>"
-mc_json="$(mktemp)"
-cargo run -p pf-bench --release --bin bench_mc -- --smoke --out "$mc_json" > /dev/null
-python3 -m json.tool "$mc_json" > /dev/null
-rm -f "$mc_json"
-# Demux-scaling invariants: the smoke run carries sweep-internal asserts
-# (geom beats sharded-VN on the range-heavy ladder, stays within 2x on
-# pure-exact populations, sublinear probe growth up the ladder, churn
-# compactions amortized); same temp-path treatment, and the artifact —
-# rows + range_rows + churn_rows — must parse as JSON.
-echo "==> cargo run -p pf-bench --release --bin bench_demux -- --smoke --out <tmp>"
-demux_json="$(mktemp)"
-cargo run -p pf-bench --release --bin bench_demux -- --smoke --out "$demux_json" > /dev/null
-python3 -m json.tool "$demux_json" > /dev/null
-rm -f "$demux_json"
-# Adversarial-traffic campaign invariants: every family's undefended row
-# must collapse and its hardened row must hold goodput/coverage — the
-# collapse and recovery claims are sweep-internal asserts, so the run
-# itself is the proof. Same temp-path treatment; artifact must parse.
-echo "==> cargo run -p pf-bench --release --bin bench_adversary -- --smoke --out <tmp>"
-adversary_json="$(mktemp)"
-cargo run -p pf-bench --release --bin bench_adversary -- --smoke --out "$adversary_json" > /dev/null
-python3 -m json.tool "$adversary_json" > /dev/null
-rm -f "$adversary_json"
-# Internet-scale topology campaign invariants: exact routed delivery per
-# host, bit-identical histories across queue backends, calendar >= heap
-# throughput at dense pending populations — all sweep-internal asserts.
-# Same temp-path treatment; artifact must parse.
-echo "==> cargo run -p pf-bench --release --bin bench_net -- --smoke --out <tmp>"
-net_json="$(mktemp)"
-cargo run -p pf-bench --release --bin bench_net -- --smoke --out "$net_json" > /dev/null
-python3 -m json.tool "$net_json" > /dev/null
-rm -f "$net_json"
-# Fabric-chaos campaign invariants: exact undefended blackhole
-# accounting, hardened >=99% surviving-path recovery inside a
-# diameter-aware convergence bound, zero TTL loops, bounded route
-# churn, backend-identical histories under faults — all sweep-internal
-# asserts. Same temp-path treatment; artifact must parse.
-echo "==> cargo run -p pf-bench --release --bin bench_fabric -- --smoke --out <tmp>"
-fabric_json="$(mktemp)"
-cargo run -p pf-bench --release --bin bench_fabric -- --smoke --out "$fabric_json" > /dev/null
-python3 -m json.tool "$fabric_json" > /dev/null
-rm -f "$fabric_json"
+# Every campaign's smoke sweep: each sweep asserts its own claims, so a
+# zero exit is the proof. The artifact goes to a temp path so the
+# checked-in full-sweep BENCH_<campaign>.json stays intact, and must
+# parse as JSON.
+campaign_json="$(mktemp)"
+for c in chaos overload mc demux adversary net fabric; do
+    echo "==> cargo run -p pf-bench --release --bin bench -- $c --smoke --out <tmp>"
+    cargo run -q -p pf-bench --release --bin bench -- "$c" --smoke --out "$campaign_json" > /dev/null
+    python3 -m json.tool "$campaign_json" > /dev/null
+done
+rm -f "$campaign_json"
 # Structured fuzzing (>= 10k seeded iterations per target: word decoder,
 # validator, every execution engine, geom churn; frame codec and fault
 # schedules; the admission gate under config churn) — hermetic but too

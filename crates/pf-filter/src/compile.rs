@@ -11,9 +11,9 @@
 //! evaluation then does no instruction decoding, no literal fetches, and no
 //! safety checks beyond one up-front packet-length comparison.
 //!
-//! The Criterion bench `filter_exec` measures this engine against the
-//! checked and validated interpreters, reproducing the §7 improvement
-//! ladder with real wall-clock numbers.
+//! The engine ladder of `paper-report ablations` times this engine
+//! against the checked and validated interpreters, reproducing the §7
+//! improvement ladder with real wall-clock numbers.
 
 use crate::error::ValidateError;
 use crate::interp;

@@ -350,6 +350,12 @@ enum Sym {
 
 /// Symbolically evaluates a program under paper-style short-circuit
 /// semantics, recognizing pure conjunctions of word/constant equalities.
+///
+/// A packet too short for *any* word the program fetches on the way to
+/// a verdict rejects, even when that word's value is never tested. A
+/// table entry only checks the length its own constrained words need,
+/// so a branch whose fetches reach past its highest constrained word
+/// (and a program that can overflow the stack) stays residual.
 fn analyze(program: &FilterProgram) -> Analysis {
     let words = program.words();
     // Zero-length filters accept everything (historical semantics).
@@ -362,6 +368,12 @@ fn analyze(program: &FilterProgram) -> Analysis {
     // Alternatives accumulated from continuing past CORs: each would have
     // accepted on its own. Only tracked for pure COR chains (no CANDs).
     let mut alternatives: Vec<Vec<(u16, u16)>> = Vec::new();
+    // The highest packet word fetched so far.
+    let mut fetched: Option<u16> = None;
+    // Whether a packet long enough for `constraints` covers every fetch.
+    let covers = |constraints: &[(u16, u16)], fetched: Option<u16>| {
+        fetched.is_none_or(|n| constraints.iter().any(|&(w, _)| w >= n))
+    };
     let mut pc = 0usize;
 
     while pc < words.len() {
@@ -387,8 +399,14 @@ fn analyze(program: &FilterProgram) -> Analysis {
             StackAction::PushFFFF => stack.push(Sym::Const(0xFFFF)),
             StackAction::PushFF00 => stack.push(Sym::Const(0xFF00)),
             StackAction::Push00FF => stack.push(Sym::Const(0x00FF)),
-            StackAction::PushWord(n) => stack.push(Sym::Word(u16::from(n))),
+            StackAction::PushWord(n) => {
+                fetched = fetched.max(Some(u16::from(n)));
+                stack.push(Sym::Word(u16::from(n)));
+            }
             StackAction::PushInd => return Analysis::Opaque,
+        }
+        if stack.len() > interp::STACK_SIZE {
+            return Analysis::Opaque;
         }
 
         if instr.op.pops() {
@@ -432,12 +450,16 @@ fn analyze(program: &FilterProgram) -> Analysis {
                     match eq_test(&t2, &t1) {
                         // Terminating accepts on the equality alone;
                         // continuing (paper style) pushes FALSE.
-                        Some(Sym::Conj(cs)) => {
+                        Some(Sym::Conj(cs)) if covers(&cs, fetched) => {
                             alternatives.push(cs);
                             stack.push(Sym::Const(0));
                         }
-                        // A constant-TRUE COR accepts everything.
-                        Some(Sym::Const(c)) if c != 0 => return Analysis::Conjunction(Vec::new()),
+                        // A constant-TRUE COR accepts everything that got
+                        // this far.
+                        Some(Sym::Const(c)) if c != 0 && fetched.is_none() => {
+                            return Analysis::Conjunction(Vec::new())
+                        }
+                        Some(Sym::Const(c)) if c != 0 => return Analysis::Opaque,
                         Some(Sym::Const(_)) => stack.push(Sym::Const(0)),
                         _ => return Analysis::Opaque,
                     }
@@ -458,6 +480,9 @@ fn analyze(program: &FilterProgram) -> Analysis {
         }
         Some(Sym::Word(_)) => return Analysis::Opaque,
     };
+    if final_conj.as_ref().is_some_and(|c| !covers(c, fetched)) {
+        return Analysis::Opaque;
+    }
     if alternatives.is_empty() {
         match final_conj {
             Some(c) => Analysis::Conjunction(c),
@@ -770,21 +795,41 @@ mod tests {
         }
     }
 
+    /// A packet too short for any word a filter fetches rejects, even
+    /// when the word's value is never tested: `PUSHWORD+6; PUSHONE`
+    /// accepts only packets of at least seven words, and so does a
+    /// constant-true `COR` reached after fetching word 6.
     #[test]
     fn short_packets_reject_consistently() {
         let filters = vec![
             (1, samples::pup_socket_filter(10, 0, 35)),
             (2, samples::fig_3_8_pup_type_range()),
+            (3, FilterProgram::from_words(10, vec![22, 3])),
+            (
+                4,
+                Assembler::new(9)
+                    .pushword(6)
+                    .pushone()
+                    .push_op(StackAction::PushOne, BinaryOp::Cor)
+                    .finish(),
+            ),
+            (5, samples::ethertype_filter(8, 2)),
         ];
         let mut set = FilterSet::new();
         for (id, f) in &filters {
             set.insert(*id, f.clone());
         }
-        let short = [0x01u8, 0x02, 0x00, 0x02]; // 2 words only
-        assert_eq!(
-            set.matches(PacketView::new(&short)),
-            sequential_matches(&filters, PacketView::new(&short))
-        );
+        assert_eq!(set.member_kind(3), Some(MemberKind::Residual));
+        assert_eq!(set.member_kind(4), Some(MemberKind::Residual));
+        let full = samples::pup_packet_3mb(2, 0, 35, 1);
+        for len in [0, 4, 9, 13, 14, full.len()] {
+            let view = PacketView::new(&full[..len]);
+            assert_eq!(
+                set.matches(view),
+                sequential_matches(&filters, view),
+                "{len} bytes"
+            );
+        }
     }
 
     #[test]
@@ -796,6 +841,11 @@ mod tests {
             (4, samples::ethertype_filter(8, 3)),
             (5, samples::accept_all(1)),
             (6, samples::reject_all(30)),
+            // One push past the stack limit: a fault, so it never accepts.
+            (
+                7,
+                FilterProgram::from_words(20, vec![3; interp::STACK_SIZE + 1]),
+            ),
         ];
         let mut set = FilterSet::new();
         for (id, f) in &filters {

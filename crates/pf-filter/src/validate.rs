@@ -14,8 +14,8 @@
 //! needs only one packet-length comparison up front. If a packet is too
 //! short for the fast path — where the static analysis cannot promise the
 //! bounds check — evaluation falls back to the checked interpreter so the
-//! two engines are *observationally identical* (a property test in this
-//! crate verifies this on arbitrary programs and packets).
+//! two engines are *observationally identical* (pf-ir's seeded validator
+//! fuzz target verifies this on arbitrary programs and packets).
 
 use crate::error::ValidateError;
 use crate::interp::{self, Dialect, InterpConfig, ShortCircuitStyle, STACK_SIZE};

@@ -273,7 +273,7 @@ pub fn singleton_surface_count(config: InterpConfig) -> usize {
     } else {
         6
     };
-    base + usize::from(cfg!(feature = "jit"))
+    base + usize::from(crate::JIT_BUILT)
 }
 
 struct CheckedEngine {
@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(&names[..3], &["checked", "validated", "compiled"]);
         assert!(names.contains(&"dtree"));
         assert!(names.contains(&"sharded"));
-        assert_eq!(names.contains(&"jit"), cfg!(feature = "jit"));
+        assert_eq!(names.contains(&"jit"), crate::JIT_BUILT);
     }
 
     #[test]

@@ -68,6 +68,12 @@ pub mod set;
 pub mod translate;
 pub mod vn;
 
+/// Whether this build includes the template JIT (pf-ir's `jit` feature).
+/// The crates that forward the feature key every JIT-dependent
+/// expectation on this one constant, so enabling `pf-ir/jit` alone and
+/// enabling a forwarding crate's `jit` agree.
+pub const JIT_BUILT: bool = cfg!(feature = "jit");
+
 pub use engine::{
     singleton_engines, singleton_surface_count, DemuxSet, FilterEngine, SetCounts, SetStats,
 };

@@ -253,26 +253,23 @@ fn invert_zero_eq_branches(program: &mut IrProgram) {
 /// Retargets control transfers through empty forwarding blocks and
 /// collapses branches whose arms agree.
 fn thread_branches(program: &mut IrProgram) {
-    let finals: Vec<Terminator> = (0..program.blocks.len())
-        .map(|i| final_terminator(&program.blocks, BlockId(i as u32)))
+    let landings: Vec<BlockId> = (0..program.blocks.len())
+        .map(|i| landing(&program.blocks, BlockId(i as u32)))
         .collect();
-    let target_of = |id: BlockId| -> BlockId {
-        match finals[id.0 as usize] {
-            Terminator::Jump(t) => t,
-            _ => id,
-        }
-    };
+    let target_of = |id: BlockId| landings[id.0 as usize];
     for i in 0..program.blocks.len() {
         program.blocks[i].term = match program.blocks[i].term {
             Terminator::Jump(t) => {
                 // Jumping to an empty returning block *is* that return.
-                match finals[t.0 as usize] {
+                let t = target_of(t);
+                let landed = &program.blocks[t.0 as usize];
+                match landed.term {
                     ret @ (Terminator::Return(_) | Terminator::ReturnReg(_))
-                        if program.blocks[t.0 as usize].ops.is_empty() =>
+                        if landed.ops.is_empty() =>
                     {
                         ret
                     }
-                    _ => Terminator::Jump(target_of(t)),
+                    _ => Terminator::Jump(t),
                 }
             }
             Terminator::Branch {
@@ -297,20 +294,19 @@ fn thread_branches(program: &mut IrProgram) {
     }
 }
 
-/// The terminator reached from `id` after skipping empty jump-only blocks.
-fn final_terminator(blocks: &[Block], mut id: BlockId) -> Terminator {
+/// The first block reached from `id` that has operations or does more
+/// than jump: where control really lands after skipping empty forwarding
+/// blocks.
+fn landing(blocks: &[Block], mut id: BlockId) -> BlockId {
     // The CFG is acyclic by construction, but bound the walk anyway.
     for _ in 0..blocks.len() {
         let b = &blocks[id.0 as usize];
-        if !b.ops.is_empty() {
-            return b.term;
-        }
         match b.term {
-            Terminator::Jump(t) => id = t,
-            t => return t,
+            Terminator::Jump(t) if b.ops.is_empty() => id = t,
+            _ => return id,
         }
     }
-    blocks[id.0 as usize].term
+    id
 }
 
 /// Deletes blocks unreachable from the entry and compacts ids.
@@ -578,6 +574,31 @@ mod tests {
             ))),
             "guaranteed-faulting div removed: {ir}"
         );
+    }
+
+    /// Two short-circuit branches fold to jumps, leaving an empty
+    /// forwarding block ahead of the block that loads and compares the
+    /// packet word: threading must land on that block, not return its
+    /// result register without running its operations.
+    #[test]
+    fn threading_never_skips_a_block_with_operations() {
+        let p = Assembler::new(0)
+            .pushone()
+            .pushlit_op(BinaryOp::Cnor, 0xFFFF)
+            .pushlit_op(BinaryOp::Cnor, 0xFFFF)
+            .pushword_op(2, BinaryOp::Neq)
+            .finish();
+        let filter = crate::IrFilter::compile(p.clone()).unwrap();
+        let checked = pf_filter::interp::CheckedInterpreter::default();
+        for word2 in [0u8, 1, 0x64] {
+            let pkt = [9, 9, 9, 9, 0, word2, 9, 9];
+            let view = pf_filter::packet::PacketView::new(&pkt);
+            assert_eq!(
+                filter.eval(view),
+                checked.eval(&p, view),
+                "word 2 = {word2}"
+            );
+        }
     }
 
     #[test]

@@ -2002,12 +2002,9 @@ mod tests {
         );
         // Where the emitter supports this target, simple guard programs
         // always compile.
-        #[cfg(all(
-            feature = "jit",
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        assert_eq!(stats.set.native, 2);
+        if jit_emits_native() {
+            assert_eq!(stats.set.native, 2);
+        }
         let out = d.demux(&pkt(35));
         assert_eq!(out.accepted, vec![0]);
         assert_eq!(
@@ -2044,9 +2041,8 @@ mod tests {
         assert_eq!(out.accepted, vec![monitor, consumer]);
     }
 
-    /// Satellite: with emission artificially refused, the JIT engine must
-    /// report every member as fallback and keep verdicts identical.
-    #[cfg(feature = "jit")]
+    /// With emission artificially refused, the JIT engine must report
+    /// every member as fallback and keep verdicts identical.
     #[test]
     fn forced_fallback_keeps_verdicts_and_reports_stats() {
         let filters = [
@@ -2078,17 +2074,28 @@ mod tests {
         }
     }
 
-    /// Satellite: the default build must still offer `DemuxEngine::Jit`,
-    /// degraded to threaded code — the `jit` gate never leaks out.
-    #[cfg(not(feature = "jit"))]
+    /// Whether pf-ir was built with the template JIT and its emitter
+    /// supports this target.
+    fn jit_emits_native() -> bool {
+        pf_ir::JIT_BUILT
+            && cfg!(all(
+                target_os = "linux",
+                any(target_arch = "x86_64", target_arch = "aarch64")
+            ))
+    }
+
+    /// `DemuxEngine::Jit` is always offered: native code where pf-ir
+    /// builds the JIT for this target, threaded code otherwise — the
+    /// `jit` gate never leaks out.
     #[test]
-    fn jit_engine_without_the_feature_is_threaded_fallback() {
+    fn jit_engine_is_threaded_fallback_unless_the_jit_is_built() {
         let mut d = PfDevice::builder().engine(DemuxEngine::Jit).build();
         let p0 = d.open((ProcId(0), Fd(0)));
         d.set_filter(p0, samples::pup_socket_filter(10, 0, 35));
         let stats = d.engine_stats();
-        assert_eq!(stats.set.native, 0, "no native code without the feature");
-        assert_eq!(stats.set.fallback, 1);
+        let native = usize::from(jit_emits_native());
+        assert_eq!(stats.set.native, native, "native code iff the JIT is built");
+        assert_eq!(stats.set.fallback, 1 - native);
         assert_eq!(d.demux(&pkt(35)).accepted, vec![p0]);
         assert!(d.demux(&pkt(44)).accepted.is_empty());
     }

@@ -1,26 +1,14 @@
-// Structured fuzzing for pf-net's hostile-input surfaces: the frame
-// codec (build / parse / payload / pad) on both media, and the fabric
-// fault-schedule builder. Each target runs >= 10,000 seeded
-// iterations, so the suite is slow enough to keep out of the default
-// `cargo test` — gate it behind a feature and run it in its own CI
-// lane:
-//
-//   cargo test -p pf-net --release --features fuzz-tests
-//
-// Like pf-ir's `tests/fuzz.rs` these are hermetic proptest-style
-// loops: all randomness comes from the in-tree `pf_sim::rng::SplitMix64`,
-// so a failure reproduces from the constant seed with no external
-// crates.
-#![cfg(feature = "fuzz-tests")]
+//! Structured fuzzing for pf-net's hostile-input surfaces: the frame
+//! codec (build / parse / payload / pad) on both media, and the fabric
+//! fault-schedule builder. Each target runs 10,000 seeded cases through
+//! [`pf_sim::rng::check`].
 
 use pf_net::fabric::{FabricAction, FabricSchedule};
 use pf_net::frame;
 use pf_net::medium::Medium;
 use pf_net::{LinkId, NodeId};
-use pf_sim::rng::SplitMix64;
+use pf_sim::rng::{check, SplitMix64};
 use pf_sim::time::{SimDuration, SimTime};
-
-const ITERS: u32 = 10_000;
 
 fn media() -> [Medium; 2] {
     [Medium::experimental_3mb(), Medium::standard_10mb()]
@@ -41,15 +29,14 @@ fn fuzz_addr(rng: &mut SplitMix64, medium: &Medium) -> u64 {
 
 /// `build` must be total (no panics), reject exactly the documented
 /// inputs, and everything it accepts must round-trip through `parse`
-/// and `payload` bit-for-bit.
+/// and `payload` bit-for-bit, on both media.
 #[test]
 fn frame_build_parse_round_trip_is_total() {
-    let mut rng = SplitMix64::new(0xF8A_0001);
     let media = media();
-    for _ in 0..ITERS {
+    check(0xF8A_0001, 10_000, |rng| {
         let medium = &media[rng.below(2) as usize];
-        let dst = fuzz_addr(&mut rng, medium);
-        let src = fuzz_addr(&mut rng, medium);
+        let dst = fuzz_addr(rng, medium);
+        let src = fuzz_addr(rng, medium);
         let ethertype = rng.next_u64() as u16;
         // Bias payload lengths around the max-packet boundary.
         let len = if rng.chance(0.3) {
@@ -75,19 +62,23 @@ fn frame_build_parse_round_trip_is_total() {
             }
             Err(_) => assert!(!fits(dst) || !fits(src) || too_long),
         }
-    }
+    });
 }
 
-/// `parse` and `payload` never panic on arbitrary byte soup — including
-/// truncations below the header — and agree with each other on whether
-/// the header fits.
+/// `parse` and `payload` never panic on arbitrary byte soup — from
+/// truncations below the header up to oversized frames — and agree
+/// with each other on whether the header fits.
 #[test]
 fn frame_parse_survives_corruption_and_truncation() {
-    let mut rng = SplitMix64::new(0xF8A_0002);
     let media = media();
-    for _ in 0..ITERS {
+    check(0xF8A_0002, 10_000, |rng| {
         let medium = &media[rng.below(2) as usize];
-        let mut bytes: Vec<u8> = (0..rng.below(80)).map(|_| rng.next_u64() as u8).collect();
+        let len = if rng.chance(0.1) {
+            rng.below(1600)
+        } else {
+            rng.below(80)
+        };
+        let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         if rng.chance(0.5) && !bytes.is_empty() {
             // Flip a few bits of an otherwise-valid frame too.
             let f = frame::build(medium, 1, 2, 0x0800, &bytes.clone())
@@ -112,15 +103,14 @@ fn frame_parse_survives_corruption_and_truncation() {
         if let Ok(b) = body {
             assert_eq!(b.len(), bytes.len() - medium.header_len);
         }
-    }
+    });
 }
 
 /// `pad` is clamped, monotone, and prefix-preserving for any request.
 #[test]
 fn frame_pad_is_clamped_and_prefix_preserving() {
-    let mut rng = SplitMix64::new(0xF8A_0003);
     let media = media();
-    for _ in 0..ITERS {
+    check(0xF8A_0003, 10_000, |rng| {
         let medium = &media[rng.below(2) as usize];
         let mut f: Vec<u8> = (0..rng.below(medium.max_packet as u64 + 16))
             .map(|_| rng.next_u64() as u8)
@@ -136,7 +126,7 @@ fn frame_pad_is_clamped_and_prefix_preserving() {
         );
         assert_eq!(&f[..before.len()], &before[..], "existing bytes untouched");
         assert!(f[before.len()..].iter().all(|&b| b == 0));
-    }
+    });
 }
 
 /// The fault-schedule builder keeps its event list time-sorted and
@@ -144,8 +134,7 @@ fn frame_pad_is_clamped_and_prefix_preserving() {
 /// `random_chaos` is a pure function of its seed.
 #[test]
 fn fabric_schedule_stays_sorted_and_deterministic() {
-    let mut rng = SplitMix64::new(0xF8A_0004);
-    for _ in 0..ITERS {
+    check(0xF8A_0004, 10_000, |rng| {
         let mut s = FabricSchedule::new();
         let ops = rng.below(12);
         for _ in 0..ops {
@@ -191,7 +180,7 @@ fn fabric_schedule_stays_sorted_and_deterministic() {
             events.windows(2).all(|w| w[0].at <= w[1].at),
             "events come out time-sorted"
         );
-    }
+    });
 
     // Seed-purity of the chaos generator: same inputs, same schedule.
     let routers: Vec<NodeId> = (0..8usize).map(NodeId).collect();

@@ -1,102 +1,71 @@
-// Property suites need the external `proptest` crate; the default build is
-// hermetic (offline), so this whole file is gated behind a feature. See the
-// crate manifest for how to restore the dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
-//! Property-based tests for the simulated data links.
+//! Seeded properties of the simulated data links: wire timing and
+//! segment delivery. The frame codec's round trip and totality are
+//! pinned by `tests/fuzz.rs`.
 
 use pf_net::frame;
 use pf_net::medium::Medium;
 use pf_net::segment::{FaultModel, Network};
+use pf_sim::rng::check;
 use pf_sim::time::SimTime;
-use proptest::prelude::*;
 
-proptest! {
-    #[test]
-    fn frame_round_trips_3mb(
-        dst in 0u64..256, src in 0u64..256, ethertype in any::<u16>(),
-        payload in prop::collection::vec(any::<u8>(), 0..596),
-    ) {
-        let m = Medium::experimental_3mb();
-        let f = frame::build(&m, dst, src, ethertype, &payload).unwrap();
-        let h = frame::parse(&m, &f).unwrap();
-        prop_assert_eq!(h.dst, dst);
-        prop_assert_eq!(h.src, src);
-        prop_assert_eq!(h.ethertype, ethertype);
-        prop_assert_eq!(frame::payload(&m, &f).unwrap(), &payload[..]);
-    }
-
-    #[test]
-    fn frame_round_trips_10mb(
-        dst in 0u64..(1 << 48), src in 0u64..(1 << 48), ethertype in any::<u16>(),
-        payload in prop::collection::vec(any::<u8>(), 0..1500),
-    ) {
-        let m = Medium::standard_10mb();
-        let f = frame::build(&m, dst, src, ethertype, &payload).unwrap();
-        let h = frame::parse(&m, &f).unwrap();
-        prop_assert_eq!(h.dst, dst);
-        prop_assert_eq!(h.src, src);
-        prop_assert_eq!(h.ethertype, ethertype);
-    }
-
-    #[test]
-    fn parse_is_total(bytes in prop::collection::vec(any::<u8>(), 0..1600)) {
+#[test]
+fn transmission_delay_is_monotonic() {
+    check(0xde1a_7000, 256, |rng| {
+        let (a, b) = (rng.below(2000) as usize, rng.below(2000) as usize);
         for m in [Medium::experimental_3mb(), Medium::standard_10mb()] {
-            let _ = frame::parse(&m, &bytes);
-            let _ = frame::payload(&m, &bytes);
-        }
-    }
-
-    #[test]
-    fn transmission_delay_is_monotonic(a in 0usize..2000, b in 0usize..2000) {
-        for m in [Medium::experimental_3mb(), Medium::standard_10mb()] {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(m.transmission_delay(lo) <= m.transmission_delay(hi));
+            let (lo, hi) = (a.min(b), a.max(b));
+            assert!(m.transmission_delay(lo) <= m.transmission_delay(hi));
         }
         // And the 3 Mb wire is strictly slower for any non-empty frame.
-        prop_assume!(a > 0);
-        prop_assert!(
-            Medium::experimental_3mb().transmission_delay(a)
-                > Medium::standard_10mb().transmission_delay(a)
-        );
-    }
+        if a > 0 {
+            assert!(
+                Medium::experimental_3mb().transmission_delay(a)
+                    > Medium::standard_10mb().transmission_delay(a)
+            );
+        }
+    });
+}
 
-    #[test]
-    fn unicast_never_leaks_to_third_parties(
-        n_hosts in 3usize..8,
-        dst_idx in 1usize..8,
-        loss in 0.0f64..0.5,
-        seed in any::<u64>(),
-    ) {
-        let dst_idx = dst_idx % n_hosts;
-        prop_assume!(dst_idx != 0);
-        let mut net = Network::new(seed);
+#[test]
+fn unicast_never_leaks_to_third_parties() {
+    check(0x1eac_0000, 256, |rng| {
+        let n_hosts = 3 + rng.below(5) as usize;
+        let dst_idx = 1 + rng.below(n_hosts as u64 - 1) as usize;
+        let loss = rng.next_f64() * 0.5;
+        let mut net = Network::new(rng.next_u64());
         let seg = net.add_segment(
             Medium::experimental_3mb(),
-            FaultModel { loss, ..FaultModel::default() },
+            FaultModel {
+                loss,
+                ..FaultModel::default()
+            },
         );
-        let stations: Vec<_> = (0..n_hosts).map(|i| net.add_station(seg, i as u64 + 1)).collect();
+        let stations: Vec<_> = (0..n_hosts)
+            .map(|i| net.add_station(seg, i as u64 + 1))
+            .collect();
         let m = Medium::experimental_3mb();
         let f = frame::build(&m, dst_idx as u64 + 1, 1, 2, &[0; 10]).unwrap();
         let (_, deliveries) = net.transmit(stations[0], &f, SimTime::ZERO);
         // With loss, 0 or 1 delivery — but never to anyone but the target.
-        prop_assert!(deliveries.len() <= 1);
+        assert!(deliveries.len() <= 1);
         for d in deliveries {
-            prop_assert_eq!(d.station, stations[dst_idx]);
+            assert_eq!(d.station, stations[dst_idx]);
         }
-    }
+    });
+}
 
-    #[test]
-    fn fault_free_broadcast_reaches_everyone_else(
-        n_hosts in 2usize..10,
-        seed in any::<u64>(),
-    ) {
-        let mut net = Network::new(seed);
+#[test]
+fn fault_free_broadcast_reaches_everyone_else() {
+    check(0xb0ad_ca57, 256, |rng| {
+        let n_hosts = 2 + rng.below(8) as usize;
+        let mut net = Network::new(rng.next_u64());
         let seg = net.add_segment(Medium::experimental_3mb(), FaultModel::default());
-        let stations: Vec<_> = (0..n_hosts).map(|i| net.add_station(seg, i as u64 + 1)).collect();
+        let stations: Vec<_> = (0..n_hosts)
+            .map(|i| net.add_station(seg, i as u64 + 1))
+            .collect();
         let m = Medium::experimental_3mb();
         let f = frame::build(&m, m.broadcast, 1, 2, &[]).unwrap();
         let (_, deliveries) = net.transmit(stations[0], &f, SimTime::ZERO);
-        prop_assert_eq!(deliveries.len(), n_hosts - 1);
-    }
+        assert_eq!(deliveries.len(), n_hosts - 1);
+    });
 }

@@ -1,15 +1,10 @@
-// Property suites need the external `proptest` crate; the default build is
-// hermetic (offline), so this whole file is gated behind a feature. See the
-// crate manifest for how to restore the dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
 //! Property test: VMTP transactions complete with exact results over an
-//! adversarial channel (loss, duplication, reordering chosen by
-//! proptest), driving the pure machines directly.
+//! adversarial channel (loss, duplication, reordering drawn from a
+//! seeded script), driving the pure machines directly.
 
 use pf_proto::vmtp::{ClientMachine, ServerMachine, VEffect, VmtpPacket, VMTP_RTO_TOKEN};
+use pf_sim::rng::check;
 use pf_sim::time::SimDuration;
-use proptest::prelude::*;
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy)]
@@ -18,15 +13,6 @@ enum Fate {
     Drop,
     Duplicate,
     Delay,
-}
-
-fn fate() -> impl Strategy<Value = Fate> {
-    prop_oneof![
-        6 => Just(Fate::Deliver),
-        1 => Just(Fate::Drop),
-        1 => Just(Fate::Duplicate),
-        1 => Just(Fate::Delay),
-    ]
 }
 
 fn apply_fate(
@@ -59,19 +45,24 @@ fn apply_fate(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Sequential transactions against a file-read server: every one
-    /// completes with exactly the requested bytes, in order, no matter
-    /// what the channel does (it turns reliable once the fate script is
-    /// exhausted, so runs terminate).
-    #[test]
-    fn transactions_complete_exactly(
-        ops in 1u32..5,
-        response_len in 0usize..5000,
-        fates in prop::collection::vec(fate(), 0..120),
-    ) {
+/// Sequential transactions against a file-read server: every one
+/// completes with exactly the requested bytes, in order, no matter what
+/// the channel does (it turns reliable once the fate script is
+/// exhausted, so runs terminate).
+#[test]
+fn transactions_complete_exactly() {
+    check(0x7a7e_0001, 48, |rng| {
+        let ops = 1 + rng.below(4) as u32;
+        let response_len = rng.below(5000) as usize;
+        // Fates weighted 6 : 1 : 1 : 1 toward delivery.
+        let fates: Vec<Fate> = (0..rng.below(120))
+            .map(|_| match rng.below(9) {
+                0 => Fate::Drop,
+                1 => Fate::Duplicate,
+                2 => Fate::Delay,
+                _ => Fate::Deliver,
+            })
+            .collect();
         let mut client = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
         let mut server = ServerMachine::new(2);
         let mut to_server: VecDeque<(VmtpPacket, u64)> = VecDeque::new();
@@ -90,7 +81,7 @@ proptest! {
         let mut steps = 0u32;
         while completed < ops {
             steps += 1;
-            prop_assert!(steps < 100_000, "livelock");
+            assert!(steps < 100_000, "livelock");
 
             if let Some((p, _eth)) = to_server.pop_front() {
                 let fx = server.on_packet(&p, 0x0A);
@@ -99,16 +90,15 @@ proptest! {
                         VEffect::Send(p, eth) => {
                             apply_fate((p, eth), &mut to_client, &fates, &mut fate_idx)
                         }
-                        VEffect::DeliverRequest { client, client_eth, trans, .. } => {
-                            for e in server.respond(client, client_eth, trans, response.clone())
-                            {
+                        VEffect::DeliverRequest {
+                            client,
+                            client_eth,
+                            trans,
+                            ..
+                        } => {
+                            for e in server.respond(client, client_eth, trans, response.clone()) {
                                 if let VEffect::Send(p, eth) = e {
-                                    apply_fate(
-                                        (p, eth),
-                                        &mut to_client,
-                                        &fates,
-                                        &mut fate_idx,
-                                    );
+                                    apply_fate((p, eth), &mut to_client, &fates, &mut fate_idx);
                                 }
                             }
                         }
@@ -124,17 +114,12 @@ proptest! {
                             apply_fate((p, eth), &mut to_server, &fates, &mut fate_idx)
                         }
                         VEffect::Complete { data, .. } => {
-                            prop_assert_eq!(&data, &response, "exact response bytes");
+                            assert_eq!(&data, &response, "exact response bytes");
                             completed += 1;
                             if completed < ops {
                                 for e in client.invoke(0, Vec::new()) {
                                     if let VEffect::Send(p, eth) = e {
-                                        apply_fate(
-                                            (p, eth),
-                                            &mut to_server,
-                                            &fates,
-                                            &mut fate_idx,
-                                        );
+                                        apply_fate((p, eth), &mut to_server, &fates, &mut fate_idx);
                                     }
                                 }
                             }
@@ -153,7 +138,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(completed, ops);
-        prop_assert!(!client.busy());
-    }
+        assert_eq!(completed, ops);
+        assert!(!client.busy());
+    });
 }

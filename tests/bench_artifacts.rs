@@ -4,9 +4,10 @@
 //! value is simulated and deterministic except the wall-clock keys
 //! below, whose values are masked.
 //!
-//! The `jit` feature adds the template JIT to the engine ladder, so
-//! chaos's engine-agreement tally counts more verdicts under it and has
-//! its own golden file.
+//! A build with pf-ir's template JIT adds it to the engine ladder, so
+//! chaos's engine-agreement tally counts more verdicts and has its own
+//! golden file; pf-bench's `jit` feature adds a JIT row to the demux
+//! race, which has its own golden file too.
 //!
 //! `net` is left out: its smoke sweep asserts calendar >= heap ops/s at
 //! 10k pending, a wall-clock race that an unoptimised build on a loaded
@@ -58,7 +59,7 @@ fn check(campaign: &str, golden: &str) {
 
 #[test]
 fn chaos_smoke_artifact_matches_the_golden_file() {
-    let golden = if cfg!(feature = "jit") {
+    let golden = if pf_ir::JIT_BUILT {
         include_str!("golden/chaos.jit.smoke.json")
     } else {
         include_str!("golden/chaos.smoke.json")
@@ -78,7 +79,13 @@ fn mc_smoke_artifact_matches_the_golden_file() {
 
 #[test]
 fn demux_smoke_artifact_matches_the_golden_file() {
-    check("demux", include_str!("golden/demux.smoke.json"));
+    // Four engines race; pf-bench's `jit` feature adds the JIT.
+    let golden = if pf_bench::demux_json::ENGINES_RACED > 4 {
+        include_str!("golden/demux.jit.smoke.json")
+    } else {
+        include_str!("golden/demux.smoke.json")
+    };
+    check("demux", golden);
 }
 
 #[test]

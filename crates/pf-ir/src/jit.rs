@@ -1144,4 +1144,35 @@ mod tests {
         let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
         assert!(g.eval(PacketView::new(&pkt)));
     }
+
+    #[test]
+    fn rejects_exactly_what_validation_rejects() {
+        use pf_filter::program::MAX_PROGRAM_WORDS;
+        use pf_filter::word::{Instr, StackAction};
+        let word = |action, op| Instr::new(action, op).encode();
+        let bad_word = (0..=u16::MAX)
+            .find(|&w| Instr::decode(w).is_none())
+            .expect("some word is reserved");
+        let classic = InterpConfig::default();
+        let rejected = [
+            vec![word(StackAction::NoPush, BinaryOp::Eq)],
+            vec![bad_word],
+            vec![word(StackAction::PushLit, BinaryOp::Nop)],
+            vec![word(StackAction::PushOne, BinaryOp::Nop); 33],
+            vec![
+                word(StackAction::PushWord(0), BinaryOp::Nop),
+                word(StackAction::PushWord(1), BinaryOp::Add),
+            ],
+            vec![word(StackAction::NoPush, BinaryOp::Nop); MAX_PROGRAM_WORDS + 1],
+        ];
+        for words in rejected {
+            let p = FilterProgram::from_words(0, words);
+            let verdict = ValidatedProgram::with_config(p.clone(), classic)
+                .expect_err("validation rejects the program");
+            assert_eq!(
+                JitFilter::compile_with_config(p, classic).err(),
+                Some(verdict)
+            );
+        }
+    }
 }
